@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 from .errors import ArityMismatch, EmptyModel
 from .qubo import IsingModel
 
-GATE_KINDS = ("H", "RX", "RY", "RZ", "CNOT")
-
 
 @dataclass(frozen=True)
 class Param:
@@ -69,6 +67,14 @@ class ParamCircuit:
         return "\n".join(lines)
 
 
+def check_mixer(mixer: str) -> str:
+    """Gate kind of a mixer name, case-insensitive: RX or RY."""
+    kind = mixer.upper()
+    if kind not in ("RX", "RY"):
+        raise ValueError(f"mixer must be RX or RY, got {mixer!r}")
+    return kind
+
+
 def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     """Hadamard row followed by p alternating cost and mixer blocks.
 
@@ -77,9 +83,7 @@ def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     (lexicographic).  Mixer block: RX(2 beta_l) (or RY) on every qubit.
     The constant term only contributes a global phase and is ignored.
     """
-    mixer = mixer.upper()
-    if mixer not in ("RX", "RY"):
-        raise ValueError(f"mixer must be RX or RY, got {mixer!r}")
+    mixer = check_mixer(mixer)
     if m.num_qubits < 1:
         raise EmptyModel("ansatz needs at least one qubit")
     if p < 0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 
@@ -59,6 +60,22 @@ def parse_noise(spec: str) -> NoiseModel:
         raise MalformedInput(str(exc)) from exc
 
 
+def _noise_dict(nm: NoiseModel | None) -> dict | None:
+    """A noise model as the manifest records it."""
+    return None if nm is None else {"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip}
+
+
+def _finite(flag: str, value: float | None) -> float | None:
+    if value is not None and not math.isfinite(value):
+        raise MalformedInput(f"{flag} must be a finite number, got {value}")
+    return value
+
+
+def _compile_graph(path: str, weight: float) -> IsingModel:
+    g = parse_graph(_read(path))
+    return to_ising(assemble(g, _finite("--weight", weight)), g.n)
+
+
 def load_terms(text: str) -> IsingModel:
     """Load a term-list file: either a bare list or an object with 'terms'."""
     try:
@@ -100,12 +117,11 @@ def _model_from_args(args) -> tuple[IsingModel, dict]:
         model = load_terms(_read(args.terms))
         source = {"terms": args.terms}
     elif getattr(args, "graph", None):
-        g = parse_graph(_read(args.graph))
-        model = to_ising(assemble(g, args.weight), g.n)
+        model = _compile_graph(args.graph, args.weight)
         source = {"graph": args.graph, "weight": args.weight}
     else:
         raise MalformedInput("need --graph or --terms")
-    rescale = getattr(args, "rescale", None)
+    rescale = _finite("--rescale", getattr(args, "rescale", None))
     if getattr(args, "drop_constant", False) or rescale is not None:
         model = strip_constant(model, rescale if rescale is not None else 1)
         source["drop_constant"] = True
@@ -127,8 +143,7 @@ def _dist_csv(dist: Distribution) -> str:
 
 
 def cmd_compile(args) -> int:
-    g = parse_graph(_read(args.graph))
-    model = to_ising(assemble(g, args.weight), g.n)
+    model = _compile_graph(args.graph, args.weight)
     if args.drop_constant:
         model = strip_constant(model)
     terms = [{"pauli": s, "coeff": float(c)} for s, c in to_term_list(model)]
@@ -189,9 +204,7 @@ def _solve_from_args(args, model, source, mixer=None, nm=None):
         seed=args.seed,
         restarts=args.restarts,
         max_evals=args.max_evals,
-        noise=None
-        if nm is None
-        else {"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip},
+        noise=_noise_dict(nm),
         sampled_objective=args.sampled_objective,
     )
     return qaoa_solve(
@@ -281,7 +294,7 @@ def cmd_compare(args) -> int:
             "noisy": {
                 "counts": dict(sorted(noisy_dist.counts.items())),
                 "ground_state_mass": noisy_mass,
-                "noise": {"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip},
+                "noise": _noise_dict(nm),
             },
             "ground_state_mass": {
                 "noiseless": rep.ground_state_mass,
@@ -291,7 +304,7 @@ def cmd_compare(args) -> int:
                 "compare",
                 axis="noise",
                 **source,
-                noise={"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip},
+                noise=_noise_dict(nm),
                 p=args.p,
                 mixer=args.mixer,
                 shots=args.shots,

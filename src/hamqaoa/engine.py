@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, Param, ParamCircuit
+from .circuit import Gate, Param, ParamCircuit, check_mixer
 from .errors import DimensionMismatch, TooManyQubits, UnboundParameter
 from .hamiltonian import DiagonalHamiltonian, energy_of, index_to_bits
 
@@ -52,9 +52,6 @@ class Statevector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def bitstring(self, index: int) -> str:
-        return index_to_bits(index, self.num_qubits)
 
 
 @dataclass(frozen=True)
@@ -159,13 +156,14 @@ def qaoa_state(
     ansatz exactly (the constant term is excluded, as the gate list also
     drops it).
     """
+    mixer = check_mixer(mixer)
     q = h.num_qubits
     dim = 1 << q
     energies = h.energies() - h.constant
     state = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     for gamma, beta in zip(gammas, betas, strict=True):
         state = state * np.exp(-1j * float(gamma) * energies)
-        mat = _rotation(mixer.upper(), 2.0 * float(beta))
+        mat = _rotation(mixer, 2.0 * float(beta))
         for k in range(1, q + 1):
             state = _apply_1q(state, mat, k)
     return Statevector(state, q)

@@ -33,10 +33,6 @@ class UnmappedVariable(HamqaoaError):
     """QUBO variable falls outside the (n-1)^2 qubit block."""
 
 
-class WeightMissing(HamqaoaError):
-    """Edge weight map does not cover every edge of the graph."""
-
-
 class TooManyQubits(HamqaoaError):
     """Requested state space exceeds the configured qubit cap."""
 

@@ -2,9 +2,10 @@
 
 Because every term is a product of Z operators, the Hamiltonian is
 diagonal in the computational basis: each basis state is an eigenstate
-and its energy is a signed sum over term parities.  The full spectrum is
-therefore obtained by enumerating bitstrings, never by diagonalizing a
-dense matrix.
+and its energy is a signed sum over term parities.  One vector of 2^q
+energies, computed once per Hamiltonian, answers every question about it:
+expectation, phase, ground set, gap and level table.  Nothing is ever
+diagonalized.
 
 ``qubo_oracle`` evaluates the cycle penalty definition literally on the
 full x[v, j] matrix (fixed first row/column included) and is kept
@@ -12,7 +13,7 @@ independent of the compiler so the two can cross-check each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,9 @@ class DiagonalHamiltonian:
     num_qubits: int
     terms: tuple[tuple[int, float], ...]
     constant: float = 0.0
+    _energies: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_ising(cls, m: IsingModel) -> "DiagonalHamiltonian":
@@ -45,13 +49,20 @@ class DiagonalHamiltonian:
 
     def energies(self) -> np.ndarray:
         """Energy of every basis state, indexed so bit k-1 of the index
-        is the measured value of qubit k."""
-        idx = np.arange(1 << self.num_qubits, dtype=np.uint64)
-        out = np.full(idx.shape, self.constant)
-        for mask, coeff in self.terms:
-            parity = np.bitwise_count(idx & np.uint64(mask)) & 1
-            out += coeff * (1.0 - 2.0 * parity)
-        return out
+        is the measured value of qubit k.
+
+        Computed on the first call; every call returns that same
+        read-only array.
+        """
+        if self._energies is None:
+            idx = np.arange(1 << self.num_qubits, dtype=np.uint64)
+            out = np.full(idx.shape, self.constant)
+            for mask, coeff in self.terms:
+                parity = np.bitwise_count(idx & np.uint64(mask)) & 1
+                out += coeff * (1.0 - 2.0 * parity)
+            out.flags.writeable = False
+            object.__setattr__(self, "_energies", out)
+        return self._energies
 
 
 def bits_to_index(bits: str) -> int:
@@ -67,62 +78,66 @@ def energy_of(h: DiagonalHamiltonian, bits: str) -> float:
     """Eigenvalue of the basis state given by an assignment string."""
     if len(bits) != h.num_qubits:
         raise LengthMismatch(f"expected {h.num_qubits} bits, got {len(bits)}")
-    index = bits_to_index(bits)
-    total = h.constant
-    for mask, coeff in h.terms:
-        total += coeff * (1.0 - 2.0 * ((index & mask).bit_count() & 1))
-    return total
+    return float(h.energies()[bits_to_index(bits)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """All energy levels with their basis states, sorted by energy."""
+    """Energy levels of a diagonal Hamiltonian, read from its energy vector.
 
-    levels: tuple[tuple[float, tuple[str, ...]], ...]
-    ground_energy: float
-    ground_states: frozenset[str]
-    gap: float
+    ``energies`` is the vector rounded to 9 decimals, so that levels that
+    differ only by float noise group together; exact-rational inputs at
+    desk scale are unaffected.  Build one with ``full_spectrum``.
+    """
+
+    energies: np.ndarray
+    num_qubits: int
 
     @property
     def num_states(self) -> int:
-        return sum(len(states) for _, states in self.levels)
+        return len(self.energies)
+
+    @property
+    def ground_energy(self) -> float:
+        return float(self.energies.min())
+
+    @property
+    def ground_states(self) -> frozenset[str]:
+        ground = np.flatnonzero(self.energies == self.energies.min())
+        return frozenset(index_to_bits(int(i), self.num_qubits) for i in ground)
+
+    @property
+    def gap(self) -> float:
+        ground = self.energies.min()
+        excited = self.energies[self.energies != ground]
+        return float(excited.min()) - float(ground) if excited.size else 0.0
 
     def mean_energy(self) -> float:
-        return (
-            sum(e * len(states) for e, states in self.levels) / self.num_states
+        return float(self.energies.mean())
+
+    @property
+    def levels(self) -> tuple[tuple[float, tuple[str, ...]], ...]:
+        """Every (energy, basis states) pair, sorted by energy; basis
+        states of one level appear in index order."""
+        order = np.argsort(self.energies, kind="stable")
+        sorted_e = self.energies[order]
+        starts = np.flatnonzero(np.diff(sorted_e)) + 1
+        return tuple(
+            (
+                float(sorted_e[start]),
+                tuple(index_to_bits(int(i), self.num_qubits) for i in group),
+            )
+            for start, group in zip(np.r_[0, starts], np.split(order, starts))
         )
 
 
 def full_spectrum(h: DiagonalHamiltonian, cap: int = SPECTRUM_QUBIT_CAP) -> Spectrum:
-    """Exhaustively enumerate all 2^q basis energies, grouped by value.
-
-    Energies are rounded to 9 decimals for grouping; exact-rational
-    inputs at desk scale are unaffected.
-    """
+    """The spectrum of all 2^q basis energies; refuses more than cap qubits."""
     if h.num_qubits > cap:
         raise TooManyQubits(f"{h.num_qubits} qubits exceeds spectrum cap {cap}")
     energies = np.round(h.energies(), 9)
-    order = np.argsort(energies, kind="stable")
-    levels: list[tuple[float, tuple[str, ...]]] = []
-    current: list[str] = []
-    current_e = None
-    for idx in order:
-        e = float(energies[idx])
-        if current_e is None or e != current_e:
-            if current:
-                levels.append((current_e, tuple(current)))
-            current_e, current = e, []
-        current.append(index_to_bits(int(idx), h.num_qubits))
-    if current:
-        levels.append((current_e, tuple(current)))
-    ground_energy, ground_states = levels[0]
-    gap = levels[1][0] - ground_energy if len(levels) > 1 else 0.0
-    return Spectrum(
-        levels=tuple(levels),
-        ground_energy=ground_energy,
-        ground_states=frozenset(ground_states),
-        gap=gap,
-    )
+    energies.flags.writeable = False
+    return Spectrum(energies, h.num_qubits)
 
 
 def qubo_oracle(g: Graph, weight, bits: str):

@@ -23,7 +23,7 @@ from .engine import (
     sample,
     simulate_noisy,
 )
-from .hamiltonian import DiagonalHamiltonian, Spectrum, full_spectrum
+from .hamiltonian import DiagonalHamiltonian, full_spectrum
 from .qubo import IsingModel
 
 TWO_PI = 2.0 * np.pi
@@ -31,7 +31,6 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "nelder-mead"
     max_evals: int = 4000
     xtol: float = 1e-6
     ftol: float = 1e-9
@@ -40,8 +39,6 @@ class OptimizerConfig:
     bounds: tuple[float, float] = (0.0, TWO_PI)
 
     def __post_init__(self):
-        if self.method != "nelder-mead":
-            raise ValueError(f"unsupported method {self.method!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         if self.xtol <= 0 or self.ftol <= 0:
@@ -207,28 +204,6 @@ class SolveReport:
         return json.dumps(obj, indent=indent, sort_keys=False)
 
 
-def _uniform_report(
-    h: DiagonalHamiltonian, spec: Spectrum, mixer, shots, seed, nm, manifest
-) -> SolveReport:
-    # p = 0: the ansatz is a Hadamard row; nothing to optimize.
-    state = qaoa_state(h, [], [], mixer)
-    dist = sample(state, shots, seed)
-    return SolveReport(
-        optimization=OptimizationResult(np.zeros(0), spec.mean_energy(), [], 0, True),
-        final_distribution=dist,
-        ground_state_mass=dist.mass(spec.ground_states),
-        expectation_final=spec.mean_energy(),
-        ground_energy=spec.ground_energy,
-        ground_states=spec.ground_states,
-        p=0,
-        mixer=mixer,
-        shots=shots,
-        seed=seed,
-        noise=nm,
-        manifest=manifest or {},
-    )
-
-
 def qaoa_solve(
     m: IsingModel,
     p: int,
@@ -244,20 +219,19 @@ def qaoa_solve(
     Objective: exact expectation of the ansatz state when noiseless
     (unless sampled_objective is set), or the sampled mean energy of
     trajectory runs when a noise model is given.  Initial parameters are
-    drawn uniformly from [0, 2pi) using cfg.seed.
+    drawn uniformly from [0, 2pi) using cfg.seed.  At p = 0 the ansatz is
+    the Hadamard row alone: nothing is optimized, and the final sampling
+    runs as for any other depth.
     """
     cfg = cfg or OptimizerConfig()
-    mixer = mixer.upper()
+    circuit = build_ansatz(m, p, mixer)
+    mixer = circuit.mixer_kind
     h = DiagonalHamiltonian.from_ising(m)
     spec = full_spectrum(h)
     noisy = nm is not None and not nm.is_trivial
     if manifest is None:
         manifest = {}
 
-    if p == 0:
-        return _uniform_report(h, spec, mixer, shots, cfg.seed, nm, manifest)
-
-    circuit = build_ansatz(m, p, mixer)
     eval_counter = [0]
 
     def objective(params):
@@ -276,10 +250,14 @@ def qaoa_solve(
             return dist.mean_energy(h)
         return expectation(qaoa_state(h, gammas, betas, mixer), h)
 
-    x0 = TWO_PI * np.random.default_rng((cfg.seed, 0)).random(2 * p)
-    result = minimize(objective, x0, cfg)
+    if p == 0:
+        params = np.zeros(0)
+    else:
+        x0 = TWO_PI * np.random.default_rng((cfg.seed, 0)).random(2 * p)
+        result = minimize(objective, x0, cfg)
+        params = result.best_params
 
-    gammas, betas = result.best_params[:p], result.best_params[p:]
+    gammas, betas = params[:p], params[p:]
     if noisy:
         bound = bind(circuit, gammas, betas)
         dist = simulate_noisy(bound, nm, shots, cfg.seed)
@@ -288,6 +266,8 @@ def qaoa_solve(
         state = qaoa_state(h, gammas, betas, mixer)
         dist = sample(state, shots, cfg.seed)
         exp_final = expectation(state, h)
+    if p == 0:
+        result = OptimizationResult(params, exp_final, [], 0, True)
 
     return SolveReport(
         optimization=result,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonPositiveWeight, UnmappedVariable, WeightMissing
+from .errors import NonPositiveWeight, UnmappedVariable
 from .graph import Graph, non_edges, qubit_index
 
 Var = tuple[int, int]  # (v, j) with v, j in 2..n
@@ -221,24 +221,6 @@ def strip_constant(m: IsingModel, rescale=1) -> IsingModel:
         {k: c * f for k, c in m.linear.items()},
         {k: c * f for k, c in m.quadratic.items()},
     )
-
-
-def maxcut_ising(g: Graph, weights: dict[tuple[int, int], float]) -> IsingModel:
-    """Ising model whose energy is minus the cut value (one qubit per vertex).
-
-    Cut value for edge {u, v}: w * (x_u + x_v - 2 x_u x_v), which maps to
-    w/2 (1 - Z_u Z_v); negating gives an energy minimized at maximum cut.
-    """
-    canon = {(min(u, v), max(u, v)): w for (u, v), w in weights.items()}
-    if set(canon) != set(g.edges):
-        raise WeightMissing("weights must cover exactly the graph's edges")
-    constant = Fraction(0)
-    quadratic: dict[tuple[int, int], Fraction] = {}
-    for (u, v), w in sorted(canon.items()):
-        wf = Fraction(w)
-        constant -= wf / 2
-        quadratic[(u, v)] = quadratic.get((u, v), Fraction(0)) + wf / 2
-    return IsingModel(g.n, constant, {}, quadratic)
 
 
 def to_term_list(m: IsingModel) -> list[tuple[str, Fraction]]:

@@ -76,3 +76,32 @@ def random_circuit(rng, max_qubits=4, min_gates=5, max_gates=25):
                 Gate(kind, (int(rng.integers(1, q + 1)),), float(rng.uniform(0, 2 * math.pi)))
             )
     return ParamCircuit(q, tuple(gates), 0)
+
+
+def grouped_spectrum(h):
+    """Spectrum of a DiagonalHamiltonian by walking its basis states one at
+    a time in energy order, as a reference for ``full_spectrum``."""
+    from hamqaoa.hamiltonian import index_to_bits
+
+    energies = np.round(h.energies(), 9)
+    order = np.argsort(energies, kind="stable")
+    levels = []
+    current = []
+    current_e = None
+    for idx in order:
+        e = float(energies[idx])
+        if current_e is None or e != current_e:
+            if current:
+                levels.append((current_e, tuple(current)))
+            current_e, current = e, []
+        current.append(index_to_bits(int(idx), h.num_qubits))
+    if current:
+        levels.append((current_e, tuple(current)))
+    ground_energy, ground_states = levels[0]
+    return {
+        "levels": tuple(levels),
+        "ground_energy": ground_energy,
+        "ground_states": frozenset(ground_states),
+        "gap": levels[1][0] - ground_energy if len(levels) > 1 else 0.0,
+        "mean_energy": sum(e * len(s) for e, s in levels) / len(energies),
+    }

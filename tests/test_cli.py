@@ -61,6 +61,18 @@ def test_compile_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("compile", "--weight"), ("spectrum", "--rescale"), ("solve", "--weight")],
+)
+def test_non_finite_number_is_an_input_error(capsys, triangle_file, command, flag, value):
+    code = main([command, "--graph", triangle_file, f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+
+
 def test_spectrum_triangle(capsys, triangle_file):
     obj = run_json(capsys, "spectrum", "--graph", triangle_file)
     assert obj["ground_energy"] == 0

@@ -20,6 +20,12 @@ from hamqaoa.errors import DimensionMismatch, TooManyQubits, UnboundParameter
 from oracles import dense_statevector, random_circuit
 
 
+def test_qaoa_state_rejects_unknown_mixer(triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    with pytest.raises(ValueError, match="mixer"):
+        qaoa_state(h, [0.1], [0.2], mixer="foo")
+
+
 def test_hadamard_row_is_uniform(triangle_model):
     s = simulate(bind(build_ansatz(triangle_model, 0), [], []))
     assert np.allclose(s.amplitudes, 0.25, atol=1e-12)

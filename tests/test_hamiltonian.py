@@ -11,6 +11,7 @@ from hamqaoa import (
 )
 from hamqaoa.errors import LengthMismatch, TooManyQubits
 from hamqaoa.hamiltonian import index_to_bits
+from oracles import grouped_spectrum
 
 
 def test_energy_of_triangle_model(triangle_model):
@@ -57,6 +58,35 @@ def test_spectrum_completeness(square_fixture_model):
     assert spec.num_states == 512
     seen = [s for _, states in spec.levels for s in states]
     assert len(set(seen)) == 512
+
+
+def test_spectrum_matches_grouping_oracle(triangle_model, square_fixture_model):
+    path = make_graph(3, [(1, 2), (2, 3)])
+    pentagon = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    for m in (
+        triangle_model,
+        to_ising(assemble(path), 3),
+        square_fixture_model,
+        to_ising(assemble(pentagon), 5),
+    ):
+        h = DiagonalHamiltonian.from_ising(m)
+        spec = full_spectrum(h)
+        ref = grouped_spectrum(h)
+        assert spec.levels == ref["levels"]
+        assert spec.ground_energy == ref["ground_energy"]
+        assert spec.ground_states == ref["ground_states"]
+        assert spec.gap == ref["gap"]
+        assert spec.mean_energy() == ref["mean_energy"]
+
+
+def test_energies_computed_once_and_read_only(triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    first = h.energies()
+    assert h.energies() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert h == DiagonalHamiltonian.from_ising(triangle_model)
 
 
 def test_spectrum_qubit_cap():

@@ -5,9 +5,12 @@ from hamqaoa import (
     DiagonalHamiltonian,
     NoiseModel,
     OptimizerConfig,
+    bind,
+    build_ansatz,
     full_spectrum,
     minimize,
     qaoa_solve,
+    simulate_noisy,
 )
 
 
@@ -67,8 +70,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_evals=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(method="cobyla")
-    with pytest.raises(ValueError):
         OptimizerConfig(xtol=-1)
 
 
@@ -96,6 +97,22 @@ def test_zero_layer_baseline(triangle_model):
     assert rep0.expectation_final == pytest.approx(spec.mean_energy(), abs=1e-12)
     rep1 = qaoa_solve(triangle_model, 1, "RX", cfg=OptimizerConfig(seed=2))
     assert rep1.expectation_final < rep0.expectation_final
+
+
+def test_zero_layer_solve_applies_noise(triangle_model):
+    nm = NoiseModel(0.3, 0.3, 0.3)
+    cfg = OptimizerConfig(seed=3)
+    noisy = qaoa_solve(triangle_model, 0, "RX", nm=nm, cfg=cfg, shots=2000)
+    clean = qaoa_solve(triangle_model, 0, "RX", cfg=cfg, shots=2000)
+    row = bind(build_ansatz(triangle_model, 0), [], [])
+    expected = simulate_noisy(row, nm, 2000, cfg.seed)
+    assert noisy.final_distribution.counts == expected.counts
+    assert noisy.final_distribution.counts != clean.final_distribution.counts
+
+
+def test_solve_rejects_unknown_mixer(triangle_model):
+    with pytest.raises(ValueError, match="mixer"):
+        qaoa_solve(triangle_model, 0, "foo")
 
 
 def test_solve_report_deterministic(triangle_model):

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamqaoa import (
-    DiagonalHamiltonian,
     QuboPolynomial,
     assemble,
     edge_validity,
     energy_of,
     from_term_list,
-    full_spectrum,
     make_graph,
-    maxcut_ising,
     position_uniqueness,
     qubit_index,
     strip_constant,
@@ -22,7 +19,7 @@ from hamqaoa import (
     to_term_list,
     vertex_uniqueness,
 )
-from hamqaoa.errors import NonPositiveWeight, UnmappedVariable, WeightMissing
+from hamqaoa.errors import NonPositiveWeight, UnmappedVariable
 from hamqaoa.hamiltonian import index_to_bits
 
 
@@ -182,30 +179,6 @@ def test_relabeling_invariance():
                     qubit_index(v, j, 4) - 1
                 ]
         assert m.energy(bits) == m2.energy("".join(permuted))
-
-
-def test_maxcut_triangle_optimum(triangle):
-    m = maxcut_ising(triangle, {e: 1.0 for e in triangle.edges})
-    spec = full_spectrum(DiagonalHamiltonian.from_ising(m))
-    # energy = -cut; max cut of unit triangle is 2
-    assert spec.ground_energy == -2
-    assert spec.ground_states == frozenset(
-        {"100", "010", "001", "011", "101", "110"}
-    )
-
-
-def test_maxcut_single_edge_and_scaling():
-    g2 = make_graph(3, [(1, 2)])
-    m = maxcut_ising(g2, {(1, 2): 1.0})
-    assert m.energy("010") == -1 and m.energy("110") == 0
-    m_scaled = maxcut_ising(g2, {(1, 2): 2.5})
-    for bits in ("000", "010", "100", "110"):
-        assert m_scaled.energy(bits) == Fraction(5, 2) * m.energy(bits)
-
-
-def test_maxcut_requires_full_weights(triangle):
-    with pytest.raises(WeightMissing):
-        maxcut_ising(triangle, {(1, 2): 1.0})
 
 
 def test_to_term_list_triangle(triangle_model):
