@@ -71,6 +71,15 @@ def _finite(flag: str, value: float | None) -> float | None:
     return value
 
 
+def _check_float_range(model: IsingModel) -> None:
+    """Refuse a model whose exact coefficients do not convert to floats."""
+    for c in (model.constant, *model.linear.values(), *model.quadratic.values()):
+        try:
+            float(c)
+        except OverflowError as exc:
+            raise MalformedInput("a coefficient exceeds the float range") from exc
+
+
 def _compile_graph(path: str, weight: float) -> IsingModel:
     g = parse_graph(_read(path))
     return to_ising(assemble(g, _finite("--weight", weight)), g.n)
@@ -127,6 +136,7 @@ def _model_from_args(args) -> tuple[IsingModel, dict]:
         source["drop_constant"] = True
         if rescale is not None:
             source["rescale"] = rescale
+    _check_float_range(model)
     return model, source
 
 
@@ -146,6 +156,7 @@ def cmd_compile(args) -> int:
     model = _compile_graph(args.graph, args.weight)
     if args.drop_constant:
         model = strip_constant(model)
+    _check_float_range(model)
     terms = [{"pauli": s, "coeff": float(c)} for s, c in to_term_list(model)]
     obj = {
         "num_qubits": model.num_qubits,

@@ -8,7 +8,12 @@ Noise is a stochastic unraveling: each shot is one trajectory through
 the circuit in which, after every gate, a uniformly random non-identity
 Pauli is inserted on the touched qubit(s) with probability p1 (1-qubit
 gates) or p2 (2-qubit gates), followed by an optional classical readout
-flip per bit.  Memory stays at one statevector.
+flip per bit.  Every error is drawn before any state is evolved.  Shots
+without errors share the error-free state; the others are replayed
+together in batches of at most ``_BATCH_AMPLITUDES`` amplitudes, one
+state per column, so one numpy operation per gate serves a whole batch.
+Each replayed state sees the arithmetic of a replay of its own, so the
+counts do not depend on the batching.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -17,7 +22,6 @@ that a zero-noise trajectory run reproduces noiseless sampling exactly.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +33,10 @@ from .hamiltonian import DiagonalHamiltonian, energy_of, index_to_bits
 SIMULATOR_QUBIT_CAP = 24
 DEFAULT_SHOTS = 10000
 
-# Prefix states are cached for trajectory restarts only up to this many
-# complex amplitudes in total.
-_PREFIX_CACHE_BUDGET = 1 << 22
+# Amplitudes in one batch of replayed trajectories (1 MiB at complex128,
+# so that a batch and its temporaries stay in a core's cache); at least
+# one state per batch.
+_BATCH_AMPLITUDES = 1 << 16
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -97,36 +102,52 @@ def _rotation(kind: str, theta: float) -> np.ndarray:
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # RZ
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, k: int) -> np.ndarray:
-    """Apply a 2x2 matrix to qubit k (index bit k-1) of a flat state."""
-    psi = state.reshape(-1, 2, 1 << (k - 1))
-    out = np.empty_like(psi)
-    out[:, 0, :] = mat[0, 0] * psi[:, 0, :] + mat[0, 1] * psi[:, 1, :]
-    out[:, 1, :] = mat[1, 0] * psi[:, 0, :] + mat[1, 1] * psi[:, 1, :]
-    return out.reshape(-1)
+def _apply_1q(states: np.ndarray, mat: np.ndarray, k: int) -> None:
+    """Apply a 2x2 matrix to qubit k (index bit k-1), in place.
+
+    ``states`` is C-contiguous of shape (2^q,) or (2^q, B), one state per
+    column, so that each half of the pair is a run of whole rows.
+    Products keep the scalar on the left, as numpy's fused complex
+    multiply rounds by operand order.  A diagonal matrix skips its zero
+    products, which could only add signed zeros.
+    """
+    (m00, m01), (m10, m11) = mat.tolist()
+    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
+    a0, a1 = psi[:, 0], psi[:, 1]
+    if m01 == 0 and m10 == 0:
+        np.multiply(m00, a0, a0)
+        np.multiply(m11, a1, a1)
+        return
+    tmp = m10 * a0
+    np.multiply(m00, a0, a0)
+    a0 += m01 * a1
+    np.multiply(m11, a1, a1)
+    a1 += tmp
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, q: int) -> np.ndarray:
-    psi = state.reshape([2] * q)
-    ax_c, ax_t = q - control, q - target
-    sel10 = [slice(None)] * q
-    sel11 = [slice(None)] * q
-    sel10[ax_c], sel10[ax_t] = 1, 0
-    sel11[ax_c], sel11[ax_t] = 1, 1
-    out = psi.copy()
-    out[tuple(sel10)] = psi[tuple(sel11)]
-    out[tuple(sel11)] = psi[tuple(sel10)]
-    return out.reshape(-1)
+def _apply_cnot(states: np.ndarray, control: int, target: int) -> None:
+    """Swap the target pair where control = 1, in place; ``states`` as
+    for ``_apply_1q``."""
+    hi, lo = max(control, target) - 1, min(control, target) - 1
+    psi = states.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, *states.shape[1:])
+    if control > target:
+        t0, t1 = psi[:, 1, :, 0], psi[:, 1, :, 1]
+    else:
+        t0, t1 = psi[:, 0, :, 1], psi[:, 1, :, 1]
+    tmp = t0.copy()
+    t0[...] = t1
+    t1[...] = tmp
 
 
-def _apply_gate(state: np.ndarray, g: Gate, q: int) -> np.ndarray:
+def _apply_gate(states: np.ndarray, g: Gate) -> None:
     if g.kind == "H":
-        return _apply_1q(state, _H, g.targets[0])
-    if g.kind == "CNOT":
-        return _apply_cnot(state, g.targets[0], g.targets[1], q)
-    if isinstance(g.angle, Param):
+        _apply_1q(states, _H, g.targets[0])
+    elif g.kind == "CNOT":
+        _apply_cnot(states, g.targets[0], g.targets[1])
+    elif isinstance(g.angle, Param):
         raise UnboundParameter(f"gate {g.kind} has symbolic angle {g.angle}")
-    return _apply_1q(state, _rotation(g.kind, float(g.angle)), g.targets[0])
+    else:
+        _apply_1q(states, _rotation(g.kind, float(g.angle)), g.targets[0])
 
 
 def _check_circuit(c: ParamCircuit, cap: int) -> None:
@@ -142,7 +163,7 @@ def simulate(c: ParamCircuit, cap: int = SIMULATOR_QUBIT_CAP) -> Statevector:
     state = np.zeros(1 << c.num_qubits, dtype=complex)
     state[0] = 1.0
     for g in c.gates:
-        state = _apply_gate(state, g, c.num_qubits)
+        _apply_gate(state, g)
     return Statevector(state, c.num_qubits)
 
 
@@ -165,7 +186,7 @@ def qaoa_state(
         state = state * np.exp(-1j * float(gamma) * energies)
         mat = _rotation(mixer, 2.0 * float(beta))
         for k in range(1, q + 1):
-            state = _apply_1q(state, mat, k)
+            _apply_1q(state, mat, k)
     return Statevector(state, q)
 
 
@@ -194,31 +215,27 @@ def _draw_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, uniforms, side="right")
 
 
+def _counts(outcomes: np.ndarray, q: int) -> dict[str, int]:
+    """Bitstring counts of outcome indices, keyed in order of first
+    occurrence; only distinct outcomes are turned into strings."""
+    values, first, counts = np.unique(outcomes, return_index=True, return_counts=True)
+    return {
+        index_to_bits(int(values[j]), q): int(counts[j]) for j in np.argsort(first)
+    }
+
+
 def sample(s: Statevector, shots: int, seed: int) -> Distribution:
     """Draw i.i.d. computational-basis measurements from |amplitude|^2."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     outcomes = _draw_outcomes(s.probabilities(), _measure_stream(seed, shots))
-    counts = Counter(index_to_bits(int(i), s.num_qubits) for i in outcomes)
-    return Distribution(dict(counts), shots)
+    return Distribution(_counts(outcomes, s.num_qubits), shots)
 
 
 def _error_probs(c: ParamCircuit, nm: NoiseModel) -> np.ndarray:
     return np.array(
         [nm.p2 if g.kind == "CNOT" else nm.p1 for g in c.gates], dtype=float
     )
-
-
-def _inject(state: np.ndarray, g: Gate, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Insert a random non-identity Pauli on the qubit(s) touched by g."""
-    if g.kind == "CNOT":
-        pa, pb = _PAULI_2Q[rng.integers(len(_PAULI_2Q))]
-        for label, qubit in ((pa, g.targets[0]), (pb, g.targets[1])):
-            if label != "I":
-                state = _apply_1q(state, _PAULI[label], qubit)
-        return state
-    label = _PAULI_1Q[rng.integers(3)]
-    return _apply_1q(state, _PAULI[label], g.targets[0])
 
 
 def simulate_noisy(
@@ -238,44 +255,11 @@ def simulate_noisy(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = c.num_qubits
-    gates = c.gates
-    clean = simulate(c, cap).amplitudes
-    clean_cum = np.cumsum(np.abs(clean) ** 2)
-    clean_cum[-1] = 1.0
-
     u_meas = _measure_stream(seed, shots)
-    outcomes = np.empty(shots, dtype=np.int64)
-
-    p_gate = _error_probs(c, nm)
     if nm.p1 == 0.0 and nm.p2 == 0.0:
-        outcomes = np.searchsorted(clean_cum, u_meas, side="right")
+        outcomes = _draw_outcomes(simulate(c, cap).probabilities(), u_meas)
     else:
-        prefixes = _prefix_states(c) if (len(gates) + 1) * (1 << q) <= _PREFIX_CACHE_BUDGET else None
-        flag_rng = _substream(seed, 2)
-        pauli_rng = _substream(seed, 3)
-        chunk = max(1, (1 << 20) // max(1, len(gates)))
-        for start in range(0, shots, chunk):
-            stop = min(start + chunk, shots)
-            flags = flag_rng.random((stop - start, len(gates))) < p_gate
-            for t in range(start, stop):
-                row = flags[t - start]
-                if not row.any():
-                    outcomes[t] = np.searchsorted(clean_cum, u_meas[t], side="right")
-                    continue
-                first = int(np.argmax(row))
-                if prefixes is not None:
-                    state = prefixes[first + 1].copy()
-                else:
-                    state = np.zeros(1 << q, dtype=complex)
-                    state[0] = 1.0
-                    for i in range(first + 1):
-                        state = _apply_gate(state, gates[i], q)
-                state = _inject(state, gates[first], q, pauli_rng)
-                for i in range(first + 1, len(gates)):
-                    state = _apply_gate(state, gates[i], q)
-                    if row[i]:
-                        state = _inject(state, gates[i], q, pauli_rng)
-                outcomes[t] = _draw_outcomes(np.abs(state) ** 2, u_meas[t : t + 1])[0]
+        outcomes = _trajectory_outcomes(c, nm, seed, u_meas)
 
     if nm.readout_flip > 0.0:
         ro_rng = _substream(seed, 4)
@@ -283,16 +267,115 @@ def simulate_noisy(
         masks = (flips * (1 << np.arange(q, dtype=np.int64))).sum(axis=1)
         outcomes = outcomes ^ masks
 
-    counts = Counter(index_to_bits(int(i), q) for i in outcomes)
-    return Distribution(dict(counts), shots)
+    return Distribution(_counts(outcomes, q), shots)
 
 
-def _prefix_states(c: ParamCircuit) -> list[np.ndarray]:
-    """States after each gate; prefixes[i] is the state before gate i."""
+def _pauli_events(c: ParamCircuit, nm: NoiseModel, seed, shots: int):
+    """Every gate error of every shot as (shot, gate, Pauli index) arrays,
+    shot-major and gate-minor.
+
+    Flags come from substream 2 in chunks of whole shots, and one Pauli
+    index per flag from substream 3 (of 3 single-qubit or 15 two-qubit
+    Paulis), in the order a shot-by-shot replay would draw them.
+    """
+    n = len(c.gates)
+    p_gate = _error_probs(c, nm)
+    two_qubit = np.array([g.kind == "CNOT" for g in c.gates], dtype=bool)
+    flag_rng = _substream(seed, 2)
+    pauli_rng = _substream(seed, 3)
+    chunk = max(1, (1 << 20) // max(1, n))
+    shot_ids, gate_ids = [], []
+    for start in range(0, shots, chunk):
+        flags = flag_rng.random((min(chunk, shots - start), n)) < p_gate
+        t, i = np.nonzero(flags)
+        shot_ids.append(t + start)
+        gate_ids.append(i)
+    ev_shot = np.concatenate(shot_ids)
+    ev_gate = np.concatenate(gate_ids)
+    sizes = np.where(two_qubit[ev_gate], len(_PAULI_2Q), len(_PAULI_1Q))
+    ev_pauli = np.array([pauli_rng.integers(k) for k in sizes], dtype=np.int64)
+    return ev_shot, ev_gate, ev_pauli
+
+
+def _trajectory_outcomes(
+    c: ParamCircuit, nm: NoiseModel, seed, u_meas: np.ndarray
+) -> np.ndarray:
+    """Measured index of every shot, replaying diverged shots in batches.
+
+    The states to replay are the diverged shots, sorted (stably) by their
+    first error gate, then the error-free state.  Consecutive states share
+    a batch of up to ``_BATCH_AMPLITUDES`` amplitudes, so one pass over
+    the gates, one numpy op per gate, serves them all.  Each state goes
+    through the arithmetic of a replay of its own, so outcomes do not
+    depend on the batching.
+    """
+    q, n, shots = c.num_qubits, len(c.gates), len(u_meas)
+    ev_shot, ev_gate, ev_pauli = _pauli_events(c, nm, seed, shots)
+    diverged, first_event = np.unique(ev_shot, return_index=True)
+    # the error-free state goes last: its "first error" n follows every gate
+    first_gate = np.append(ev_gate[first_event], n)
+    order = np.argsort(first_gate, kind="stable")
+    col_shot, first_gate = np.append(diverged, -1)[order], first_gate[order]
+    rank = np.empty(shots, dtype=np.int64)
+    rank[col_shot[:-1]] = np.arange(len(diverged))
+    ev_col = rank[ev_shot]
+    by_col = np.argsort(ev_col, kind="stable")
+    ev_col, ev_gate, ev_pauli = ev_col[by_col], ev_gate[by_col], ev_pauli[by_col]
+
+    outcomes = np.empty(shots, dtype=np.int64)
+    per_batch = max(1, _BATCH_AMPLITUDES >> q)
+    for lo in range(0, len(col_shot), per_batch):
+        hi = min(lo + per_batch, len(col_shot))
+        a, b = np.searchsorted(ev_col, [lo, hi])
+        batch = _replay(
+            c, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
+        )
+        cum = np.cumsum(np.abs(batch) ** 2, axis=0)
+        cum[-1] = 1.0
+        shot = col_shot[lo:hi]
+        if shot[-1] < 0:  # the error-free state draws for every clean shot
+            clean = np.ones(shots, dtype=bool)
+            clean[diverged] = False
+            outcomes[clean] = np.searchsorted(cum[:, -1], u_meas[clean], side="right")
+            cum, shot = cum[:, :-1], shot[:-1]
+        # the count of entries <= u is searchsorted(cum, u, side="right")
+        outcomes[shot] = (cum <= u_meas[shot]).sum(axis=0)
+    return outcomes
+
+
+def _replay(c: ParamCircuit, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarray:
+    """Final states of one batch, one per column: column r starts erring
+    at gate first_gate[r] (ascending; len(c.gates) for never), and gets
+    Pauli ev_pauli[e] after gate ev_gate[e] if ev_col[e] == r.
+
+    The columns agree up to their earliest first error, so that prefix is
+    run once on a single state.
+    """
+    injections: dict[int, dict[int, list[int]]] = {}
+    for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
+        injections.setdefault(i, {}).setdefault(k, []).append(r)
+    start = int(first_gate[0])
     state = np.zeros(1 << c.num_qubits, dtype=complex)
     state[0] = 1.0
-    out = [state]
-    for g in c.gates:
-        state = _apply_gate(state, g, c.num_qubits)
-        out.append(state)
-    return out
+    for g in c.gates[: start + 1]:
+        _apply_gate(state, g)
+    batch = np.repeat(state[:, None], len(first_gate), axis=1)
+    for i in range(start, len(c.gates)):
+        g = c.gates[i]
+        if i > start:
+            _apply_gate(batch, g)
+        for k, cols in injections.get(i, {}).items():
+            sub = batch[:, cols]
+            _inject(sub, g, k)
+            batch[:, cols] = sub
+    return batch
+
+
+def _inject(states: np.ndarray, g: Gate, k: int) -> None:
+    """Apply Pauli number k of the gate's error set on its qubit(s), in place."""
+    if g.kind == "CNOT":
+        for label, qubit in zip(_PAULI_2Q[k], g.targets):
+            if label != "I":
+                _apply_1q(states, _PAULI[label], qubit)
+    else:
+        _apply_1q(states, _PAULI[_PAULI_1Q[k]], g.targets[0])

@@ -16,6 +16,7 @@ import numpy as np
 from .circuit import bind, build_ansatz
 from .engine import (
     DEFAULT_SHOTS,
+    SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
     expectation,
@@ -227,7 +228,7 @@ def qaoa_solve(
     circuit = build_ansatz(m, p, mixer)
     mixer = circuit.mixer_kind
     h = DiagonalHamiltonian.from_ising(m)
-    spec = full_spectrum(h)
+    spec = full_spectrum(h, SIMULATOR_QUBIT_CAP)
     noisy = nm is not None and not nm.is_trivial
     if manifest is None:
         manifest = {}

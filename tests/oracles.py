@@ -3,6 +3,7 @@
 The dense simulator builds every gate as an explicit Kronecker-product
 matrix and multiplies them out; it shares no code with the engine.
 """
+import itertools
 import math
 
 import numpy as np
@@ -105,3 +106,164 @@ def grouped_spectrum(h):
         "gap": levels[1][0] - ground_energy if len(levels) > 1 else 0.0,
         "mean_energy": sum(e * len(s) for e, s in levels) / len(energies),
     }
+
+
+def _rng(seed, tag):
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    return np.random.default_rng((*base, tag))
+
+
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_PAULI_1Q = ("X", "Y", "Z")
+_PAULI_2Q = [(a, b) for a in "IXYZ" for b in "IXYZ"][1:]
+
+
+def per_shot_trajectories(circuit, nm, shots, seed):
+    """Pauli-trajectory counts with every diverged shot replayed on its own,
+    as a reference for the batched replay in ``simulate_noisy``.
+
+    Same random substreams and draw order as the engine: measurement
+    uniforms (tag 1), gate-error flags in chunks of whole shots (tag 2),
+    one Pauli index per flagged gate, shot by shot and gate by gate
+    (tag 3), readout flips (tag 4).  Gate math comes from
+    ``engine._apply_gate``, which the dense oracle already checks.
+    """
+    from hamqaoa.engine import _apply_1q, _apply_gate
+    from hamqaoa.hamiltonian import index_to_bits
+
+    q, gates = circuit.num_qubits, circuit.gates
+    u_meas = _rng(seed, 1).random(shots)
+    flag_rng, pauli_rng = _rng(seed, 2), _rng(seed, 3)
+    p_gate = np.array([nm.p2 if g.kind == "CNOT" else nm.p1 for g in gates])
+
+    def prefix(stop):
+        state = np.zeros(1 << q, dtype=complex)
+        state[0] = 1.0
+        for g in gates[:stop]:
+            _apply_gate(state, g)
+        return state
+
+    def inject(state, g):
+        if g.kind == "CNOT":
+            pair = _PAULI_2Q[pauli_rng.integers(len(_PAULI_2Q))]
+            for label, qubit in zip(pair, g.targets):
+                if label != "I":
+                    _apply_1q(state, _PAULI[label], qubit)
+        else:
+            _apply_1q(state, _PAULI[_PAULI_1Q[pauli_rng.integers(3)]], g.targets[0])
+
+    def draw(state, u):
+        cum = np.cumsum(np.abs(state) ** 2)
+        cum[-1] = 1.0
+        return int(np.searchsorted(cum, u, side="right"))
+
+    clean = prefix(len(gates))
+    outcomes = []
+    chunk = max(1, (1 << 20) // max(1, len(gates)))
+    for start in range(0, shots, chunk):
+        stop = min(start + chunk, shots)
+        flags = flag_rng.random((stop - start, len(gates))) < p_gate
+        for t in range(start, stop):
+            row = flags[t - start]
+            if not row.any():
+                outcomes.append(draw(clean, u_meas[t]))
+                continue
+            first = int(np.argmax(row))
+            state = prefix(first + 1)
+            inject(state, gates[first])
+            for i in range(first + 1, len(gates)):
+                _apply_gate(state, gates[i])
+                if row[i]:
+                    inject(state, gates[i])
+            outcomes.append(draw(state, u_meas[t]))
+
+    if nm.readout_flip > 0.0:
+        flips = _rng(seed, 4).random((shots, q)) < nm.readout_flip
+        outcomes = [o ^ sum(1 << k for k in range(q) if f[k]) for o, f in zip(outcomes, flips)]
+    counts = {}
+    for o in outcomes:
+        bits = index_to_bits(o, q)
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+def _select(axes, bits, q):
+    """Index fixing the given axes of a density tensor to the given bits."""
+    idx = [slice(None)] * (2 * q)
+    for axis, v in zip(axes, bits):
+        idx[axis] = v
+    return tuple(idx)
+
+
+def _conjugate(rho, mat, qubits, q):
+    """M rho M^dagger for a 2^k x 2^k matrix M acting on the given qubits;
+    rho is a tensor with q row axes then q column axes, axis q-k (row)
+    and 2q-k (column) belonging to qubit k."""
+    combos = list(itertools.product((0, 1), repeat=len(qubits)))
+    mat = np.asarray(mat, dtype=complex)
+    # rows: (M rho)[a] = sum_b M[a, b] rho[b]; columns: the same with conj(M)
+    for axes, m in (([q - b for b in qubits], mat), ([2 * q - b for b in qubits], mat.conj())):
+        out = np.zeros_like(rho)
+        for a, bits_a in enumerate(combos):
+            for b, bits_b in enumerate(combos):
+                if m[a, b] != 0:
+                    out[_select(axes, bits_a, q)] += m[a, b] * rho[_select(axes, bits_b, q)]
+        rho = out
+    return rho
+
+
+def _depolarize(rho, p, qubits, q):
+    """(1 - p) rho + p/(4^k - 1) * sum of P rho P over the non-identity
+    Paulis P on the k touched qubits, where that sum is
+    2^(2k) (Tr_touched rho (x) I/2^k) - rho."""
+    if p == 0.0:
+        return rho
+    k, share = len(qubits), p / (4 ** len(qubits) - 1)
+    # the blocks with touched rows and columns fixed to the same bits;
+    # the partial trace is their sum
+    axes = [q - b for b in qubits] + [2 * q - b for b in qubits]
+    blocks = [_select(axes, bits * 2, q) for bits in itertools.product((0, 1), repeat=k)]
+    reduced = sum(rho[idx] for idx in blocks)
+    out = (1 - p - share) * rho
+    for idx in blocks:
+        out[idx] += share * 2**k * reduced
+    return out
+
+
+def density_matrix_distribution(circuit, nm):
+    """Exact outcome distribution of the noisy circuit, {bits: probability}.
+
+    Evolves the density matrix: each gate as U rho U^dagger, then the
+    depolarizing channel of the noise model on the gate's qubits (p2 for
+    CNOT, p1 otherwise), then independent readout flips per bit.  Shares
+    no code with the engine; for up to 9 qubits.
+    """
+    q = circuit.num_qubits
+    if q > 9:
+        raise ValueError("density-matrix oracle is for at most 9 qubits")
+    rho = np.zeros([2] * (2 * q), dtype=complex)
+    rho[(0,) * (2 * q)] = 1.0
+    for g in circuit.gates:
+        if g.kind == "CNOT":
+            rho = _conjugate(rho, _CNOT, list(g.targets), q)
+            rho = _depolarize(rho, nm.p2, list(g.targets), q)
+        else:
+            mat = _H if g.kind == "H" else _rotation(g.kind, g.angle)
+            rho = _conjugate(rho, mat, list(g.targets), q)
+            rho = _depolarize(rho, nm.p1, list(g.targets), q)
+    probs = np.real(np.diagonal(rho.reshape(1 << q, 1 << q))).reshape([2] * q)
+    for axis in range(q):
+        probs = (1 - nm.readout_flip) * probs + nm.readout_flip * np.flip(probs, axis)
+    return {format(i, f"0{q}b")[::-1]: float(v) for i, v in enumerate(probs.reshape(-1))}
+
+
+def delta_tv(a, b):
+    """Total-variation distance between two {outcome: probability} maps."""
+    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))

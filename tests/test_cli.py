@@ -73,6 +73,28 @@ def test_non_finite_number_is_an_input_error(capsys, triangle_file, command, fla
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--weight", "1e308"],
+        ["spectrum", "--rescale", "1e308", "--weight", "100"],
+        ["solve", "--weight", "1e308"],
+        ["spectrum", "--terms"],
+    ],
+)
+def test_coefficient_beyond_float_range_is_an_input_error(capsys, triangle_file, tmp_path, argv):
+    if argv[-1] == "--terms":
+        path = tmp_path / "huge.json"
+        path.write_text('[{"pauli": "ZI", "coeff": 1' + "0" * 400 + "}]")
+        argv = [*argv, str(path)]
+    else:
+        argv = [*argv, "--graph", triangle_file]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "float range" in err and "Traceback" not in err
+
+
 def test_spectrum_triangle(capsys, triangle_file):
     obj = run_json(capsys, "spectrum", "--graph", triangle_file)
     assert obj["ground_energy"] == 0
@@ -213,3 +235,18 @@ def test_rerun_reproduces_output(capsys, triangle_file, tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_text() == out_b.read_text()
+
+
+def test_solve_past_the_spectrum_cap(capsys, tmp_path):
+    # 21 qubits: above the 20-qubit spectrum cap, within the simulator's 24
+    q = 21
+    terms = [{"pauli": "I" * k + "Z" + "I" * (q - k - 1), "coeff": 1} for k in range(q)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"terms": terms}))
+    obj = run_json(
+        capsys,
+        "solve", "--terms", str(path), "--p", "1", "--shots", "10",
+        "--max-evals", "4", "--restarts", "1",
+    )
+    assert obj["ground_states"] == ["1" * q]
+    assert sum(obj["counts"].values()) == 10

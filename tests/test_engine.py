@@ -15,9 +15,24 @@ from hamqaoa import (
     simulate,
     simulate_noisy,
 )
+from hamqaoa import engine
 from hamqaoa.circuit import Gate, ParamCircuit
 from hamqaoa.errors import DimensionMismatch, TooManyQubits, UnboundParameter
-from oracles import dense_statevector, random_circuit
+from oracles import (
+    delta_tv,
+    dense_statevector,
+    density_matrix_distribution,
+    per_shot_trajectories,
+    random_circuit,
+)
+
+BENCH_NOISE = NoiseModel(0.001, 0.01, 0.01)
+HEAVY_NOISE = NoiseModel(0.05, 0.2, 0.02)
+
+
+def seeded_circuit(model, p, mixer, seed):
+    angles = 2 * math.pi * np.random.default_rng(seed).random(2 * p)
+    return bind(build_ansatz(model, p, mixer), angles[:p], angles[p:])
 
 
 def test_qaoa_state_rejects_unknown_mixer(triangle_model):
@@ -172,3 +187,77 @@ def test_noise_reduces_ground_mass(triangle_model):
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(p1=1.5)
+
+
+@pytest.mark.parametrize("budget_rows", [None, 4])
+@pytest.mark.parametrize("seed", [17, (17, 3)])
+@pytest.mark.parametrize("nm", [BENCH_NOISE, HEAVY_NOISE], ids=["bench", "heavy"])
+@pytest.mark.parametrize(
+    "case", ["triangle-p2-RX", "triangle-p3-RY", "square-p8-RX"]
+)
+def test_batched_replay_equals_per_shot_replay(
+    case, nm, seed, budget_rows, triangle_model, square_fixture_model, monkeypatch
+):
+    name, p, mixer = case.split("-")
+    model = triangle_model if name == "triangle" else square_fixture_model
+    c = seeded_circuit(model, int(p[1:]), mixer, 5)
+    shots = 400 if name == "triangle" else 40
+    if budget_rows is not None:
+        # many batches of four states each
+        monkeypatch.setattr(engine, "_BATCH_AMPLITUDES", budget_rows << c.num_qubits)
+    batched = simulate_noisy(c, nm, shots, seed).counts
+    reference = per_shot_trajectories(c, nm, shots, seed)
+    assert list(batched.items()) == list(reference.items())
+
+
+def test_density_matrix_oracle_on_known_cases():
+    # noiseless: the dense statevector's probabilities
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        c = random_circuit(rng)
+        exact = np.abs(dense_statevector(c)) ** 2
+        dist = density_matrix_distribution(c, NoiseModel())
+        for i, v in enumerate(exact):
+            assert dist[format(i, f"0{c.num_qubits}b")[::-1]] == pytest.approx(v, abs=1e-12)
+    # one qubit: depolarizing shrinks the Bloch vector by 1 - 4p/3,
+    # then readout flips mix the two outcomes
+    theta, p, ro = 1.1, 0.3, 0.05
+    c = ParamCircuit(1, (Gate("RX", (1,), theta),), 0)
+    dist = density_matrix_distribution(c, NoiseModel(p1=p, readout_flip=ro))
+    p1 = (1 - (1 - 4 * p / 3) * math.cos(theta)) / 2
+    assert dist["1"] == pytest.approx(p1 * (1 - ro) + (1 - p1) * ro, abs=1e-12)
+    # two qubits: after a CNOT on |00> that surely errs, 3 of the 15
+    # non-identity Paulis (IZ, ZI, ZZ) keep |00>
+    c = ParamCircuit(2, (Gate("CNOT", (1, 2)),), 0)
+    dist = density_matrix_distribution(c, NoiseModel(p2=1.0))
+    assert dist["00"] == pytest.approx(3 / 15, abs=1e-12)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, nm, shots, seed",
+    [
+        ("triangle", HEAVY_NOISE, 20000, 101),
+        ("square", BENCH_NOISE, 4000, 202),
+    ],
+)
+def test_trajectories_match_density_matrix(
+    case, nm, shots, seed, triangle_model, square_fixture_model
+):
+    if case == "triangle":
+        c = bind(build_ansatz(triangle_model, 2), [0.4, 0.1], [0.3, 0.7])
+    else:
+        c = seeded_circuit(square_fixture_model, 8, "RX", 8)
+    exact = density_matrix_distribution(c, nm)
+    counts = simulate_noisy(c, nm, shots, seed).counts
+    observed = {k: v / shots for k, v in counts.items()}
+    # E[TV] <= 1/2 sum sqrt(p(1-p)/N); one shot moves TV by at most 1/N,
+    # so exceeding that by sqrt(ln(1e6)/(2N)) has probability <= 1e-6
+    bound = 0.5 * sum(math.sqrt(v * (1 - v) / shots) for v in exact.values())
+    bound += math.sqrt(math.log(1e6) / (2 * shots))
+    assert delta_tv(observed, exact) <= bound
+    # the noise is visible at this shot count: the noiseless distribution
+    # lies outside the bound
+    probs = simulate(c).probabilities()
+    clean = {format(i, f"0{c.num_qubits}b")[::-1]: v for i, v in enumerate(probs)}
+    assert delta_tv(clean, exact) > bound
