@@ -14,10 +14,16 @@ from importlib import resources
 
 from . import __version__
 from .circuit import bind, build_ansatz
-from .engine import DEFAULT_SHOTS, Distribution, NoiseModel, simulate_noisy
+from .engine import (
+    DEFAULT_SHOTS,
+    SIMULATOR_QUBIT_CAP,
+    Distribution,
+    NoiseModel,
+    simulate_noisy,
+)
 from .errors import HamqaoaError, MalformedInput, TooManyQubits
 from .graph import parse_graph
-from .hamiltonian import DiagonalHamiltonian, full_spectrum
+from .hamiltonian import SPECTRUM_QUBIT_CAP, DiagonalHamiltonian, full_spectrum
 from .optimizer import OptimizerConfig, qaoa_solve
 from .qubo import IsingModel, assemble, from_term_list, strip_constant, to_ising, to_term_list
 
@@ -72,16 +78,24 @@ def _finite(flag: str, value: float | None) -> float | None:
 
 
 def _check_float_range(model: IsingModel) -> None:
-    """Refuse a model whose exact coefficients do not convert to floats."""
+    """Refuse a model whose exact coefficients do not convert to floats, or
+    whose energies may not: every energy lies within |constant| + sum |coeff|."""
+    bound = 0.0
     for c in (model.constant, *model.linear.values(), *model.quadratic.values()):
         try:
-            float(c)
+            bound += abs(float(c))
         except OverflowError as exc:
             raise MalformedInput("a coefficient exceeds the float range") from exc
+    if not math.isfinite(bound):
+        raise MalformedInput("the energies may exceed the float range")
 
 
-def _compile_graph(path: str, weight: float) -> IsingModel:
+def _compile_graph(path: str, weight: float, cap: int | None = None) -> IsingModel:
+    """Compile a graph file; refuse one that needs more than cap qubits
+    before compiling it, as compiling grows about as n^4."""
     g = parse_graph(_read(path))
+    if cap is not None and g.num_qubits > cap:
+        raise TooManyQubits(f"{g.num_qubits} qubits exceeds the cap {cap}")
     return to_ising(assemble(g, _finite("--weight", weight)), g.n)
 
 
@@ -120,13 +134,13 @@ def reference_square_model() -> IsingModel:
     return load_terms(text)
 
 
-def _model_from_args(args) -> tuple[IsingModel, dict]:
+def _model_from_args(args, cap: int) -> tuple[IsingModel, dict]:
     source: dict
     if getattr(args, "terms", None):
         model = load_terms(_read(args.terms))
         source = {"terms": args.terms}
     elif getattr(args, "graph", None):
-        model = _compile_graph(args.graph, args.weight)
+        model = _compile_graph(args.graph, args.weight, cap)
         source = {"graph": args.graph, "weight": args.weight}
     else:
         raise MalformedInput("need --graph or --terms")
@@ -180,7 +194,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    model, source = _model_from_args(args)
+    model, source = _model_from_args(args, SPECTRUM_QUBIT_CAP)
     spec = full_spectrum(DiagonalHamiltonian.from_ising(model))
     obj = {
         "ground_energy": spec.ground_energy,
@@ -231,7 +245,7 @@ def _solve_from_args(args, model, source, mixer=None, nm=None):
 
 
 def cmd_solve(args) -> int:
-    model, source = _model_from_args(args)
+    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     nm = parse_noise(args.noise) if args.noise else None
     report = _solve_from_args(args, model, source, nm=nm)
     _write_out(report.to_json(), args.out)
@@ -258,7 +272,7 @@ def _merged_csv(label_a, dist_a, label_b, dist_b) -> str:
 
 
 def cmd_compare(args) -> int:
-    model, source = _model_from_args(args)
+    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     if args.axis == "mixer":
         rep_a = _solve_from_args(args, model, source, mixer=args.mixer_a)
         rep_b = _solve_from_args(args, model, source, mixer=args.mixer_b)

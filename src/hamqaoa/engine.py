@@ -108,11 +108,20 @@ def _apply_1q(states: np.ndarray, mat: np.ndarray, k: int) -> None:
     ``states`` is C-contiguous of shape (2^q,) or (2^q, B), one state per
     column, so that each half of the pair is a run of whole rows.
     Products keep the scalar on the left, as numpy's fused complex
-    multiply rounds by operand order.  A diagonal matrix skips its zero
-    products, which could only add signed zeros.
+    multiply rounds by operand order, and every amplitude gets
+    ``m_i0 * a0 + m_i1 * a1`` with each product rounded before the sum.
+    An exchange-symmetric matrix (``m00 == m11``, ``m01 == m10 != 0``:
+    RX and X) does that in three full-size passes over the swapped pair;
+    a diagonal matrix (RZ, Z) skips its zero products, which could only
+    add signed zeros; any other matrix updates the two halves in turn.
     """
     (m00, m01), (m10, m11) = mat.tolist()
     psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
+    if m00 == m11 and m01 == m10 != 0:
+        swapped = m01 * psi[:, ::-1]
+        np.multiply(m00, psi, psi)
+        psi += swapped
+        return
     a0, a1 = psi[:, 0], psi[:, 1]
     if m01 == 0 and m10 == 0:
         np.multiply(m00, a0, a0)

@@ -87,7 +87,8 @@ class Spectrum:
 
     ``energies`` is the vector rounded to 9 decimals, so that levels that
     differ only by float noise group together; exact-rational inputs at
-    desk scale are unaffected.  Build one with ``full_spectrum``.
+    desk scale are unaffected.  An energy too large to round (|E| above
+    about 1.8e299) is kept as it is.  Build one with ``full_spectrum``.
     """
 
     energies: np.ndarray
@@ -135,7 +136,14 @@ def full_spectrum(h: DiagonalHamiltonian, cap: int = SPECTRUM_QUBIT_CAP) -> Spec
     """The spectrum of all 2^q basis energies; refuses more than cap qubits."""
     if h.num_qubits > cap:
         raise TooManyQubits(f"{h.num_qubits} qubits exceeds spectrum cap {cap}")
-    energies = np.round(h.energies(), 9)
+    exact = h.energies()
+    # rounding scales by 1e9, which overflows for |E| above about 1.8e299;
+    # such energies keep their exact value
+    with np.errstate(over="ignore"):
+        energies = np.round(exact, 9)
+    finite = np.isfinite(energies)
+    if not finite.all():
+        energies = np.where(finite, energies, exact)
     energies.flags.writeable = False
     return Spectrum(energies, h.num_qubits)
 

@@ -94,7 +94,7 @@ def _nelder_mead(f, x0, budget, xtol, ftol):
             order = np.argsort(values)
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
-            spread = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
+            spread = np.max(np.abs(np.array(simplex[1:]) - simplex[0]))
             if spread < xtol and values[-1] - values[0] < ftol:
                 converged = True
                 break

@@ -79,6 +79,25 @@ def random_circuit(rng, max_qubits=4, min_gates=5, max_gates=25):
     return ParamCircuit(q, tuple(gates), 0)
 
 
+def general_apply_1q(states, mat, k):
+    """A 2x2 matrix on qubit k, in place, updating the two halves in turn:
+    the engine's kernel before its exchange-symmetric branch, kept as the
+    reference for that branch.  Same layout and operand order as
+    ``engine._apply_1q``."""
+    (m00, m01), (m10, m11) = mat.tolist()
+    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
+    a0, a1 = psi[:, 0], psi[:, 1]
+    if m01 == 0 and m10 == 0:
+        np.multiply(m00, a0, a0)
+        np.multiply(m11, a1, a1)
+        return
+    tmp = m10 * a0
+    np.multiply(m00, a0, a0)
+    a0 += m01 * a1
+    np.multiply(m11, a1, a1)
+    a1 += tmp
+
+
 def grouped_spectrum(h):
     """Spectrum of a DiagonalHamiltonian by walking its basis states one at
     a time in energy order, as a reference for ``full_spectrum``."""

@@ -1,8 +1,10 @@
 import json
+import warnings
 from importlib import resources
 
 import pytest
 
+from hamqaoa import cli
 from hamqaoa.cli import main, parse_noise
 from hamqaoa.errors import MalformedInput
 
@@ -93,6 +95,61 @@ def test_coefficient_beyond_float_range_is_an_input_error(capsys, triangle_file,
     err = capsys.readouterr().err
     assert code == 2
     assert "float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "solve"])
+def test_energy_bound_beyond_float_range_is_an_input_error(capsys, tmp_path, command):
+    # each coefficient is a float; their sum, which energies reach, is not
+    path = tmp_path / "wide.json"
+    path.write_text('[{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 1e308}]')
+    code = main([command, "--terms", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "terms, ground_energy, ground_states",
+    [
+        ([("Z", 1e300)], -1e300, ["1"]),
+        ([("ZI", 1e300), ("IZ", 2e300)], -3e300, ["11"]),
+    ],
+)
+def test_spectrum_of_energies_too_large_to_round(
+    capsys, tmp_path, terms, ground_energy, ground_states
+):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([{"pauli": p, "coeff": c} for p, c in terms]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "spectrum", "--terms", str(path))
+    assert code == 0
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    obj = json.loads(out, parse_constant=no_constant)
+    assert obj["ground_energy"] == ground_energy
+    assert obj["ground_states"] == ground_states
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["solve"], ["compare", "--axis", "mixer"]],
+)
+def test_graph_past_the_qubit_cap_is_refused_before_compiling(
+    capsys, tmp_path, monkeypatch, argv
+):
+    def must_not_compile(*args, **kwargs):
+        raise AssertionError("assemble ran on a graph past the cap")
+
+    monkeypatch.setattr(cli, "assemble", must_not_compile)
+    path = tmp_path / "k40.json"
+    path.write_text(json.dumps({"n": 40, "edges": [[v, v + 1] for v in range(1, 40)]}))
+    code = main([*argv, "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "1521 qubits" in err
 
 
 def test_spectrum_triangle(capsys, triangle_file):

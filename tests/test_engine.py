@@ -6,10 +6,12 @@ import pytest
 from hamqaoa import (
     DiagonalHamiltonian,
     NoiseModel,
+    OptimizerConfig,
     Statevector,
     bind,
     build_ansatz,
     expectation,
+    qaoa_solve,
     qaoa_state,
     sample,
     simulate,
@@ -22,6 +24,7 @@ from oracles import (
     delta_tv,
     dense_statevector,
     density_matrix_distribution,
+    general_apply_1q,
     per_shot_trajectories,
     random_circuit,
 )
@@ -261,3 +264,38 @@ def test_trajectories_match_density_matrix(
     probs = simulate(c).probabilities()
     clean = {format(i, f"0{c.num_qubits}b")[::-1]: v for i, v in enumerate(probs)}
     assert delta_tv(clean, exact) > bound
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_exchange_symmetric_kernel_matches_general_kernel(q):
+    rng = np.random.default_rng(q)
+    mats = [engine._rotation("RX", float(t)) for t in rng.uniform(-7, 7, 3)]
+    mats.append(engine._PAULI["X"])
+    for shape in [(1 << q,), (1 << q, 3)]:
+        for mat in mats:
+            for k in range(1, q + 1):
+                state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                expected = state.copy()
+                engine._apply_1q(state, mat, k)
+                general_apply_1q(expected, mat, k)
+                assert state.tobytes() == expected.tobytes()
+
+
+def test_outputs_unchanged_through_general_kernel(
+    triangle_model, square_fixture_model, monkeypatch
+):
+    def outputs():
+        solves = [
+            qaoa_solve(triangle_model, 2, "RX").to_json(),
+            qaoa_solve(triangle_model, 2, "RY").to_json(),
+            qaoa_solve(
+                square_fixture_model, 8, "RX", cfg=OptimizerConfig(max_evals=300)
+            ).to_json(),
+        ]
+        c = seeded_circuit(square_fixture_model, 8, "RX", 5)
+        counts = simulate_noisy(c, BENCH_NOISE, 100, 9).counts
+        return solves, list(counts.items())
+
+    fast = outputs()
+    monkeypatch.setattr(engine, "_apply_1q", general_apply_1q)
+    assert outputs() == fast
