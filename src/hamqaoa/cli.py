@@ -79,15 +79,16 @@ def _finite(flag: str, value: float | None) -> float | None:
 
 def _check_float_range(model: IsingModel) -> None:
     """Refuse a model whose exact coefficients do not convert to floats, or
-    whose energies may not: every energy lies within |constant| + sum |coeff|."""
+    whose energies or gap may not: every energy lies within B = |constant|
+    + sum |coeff|, so every difference of two energies within 2B."""
     bound = 0.0
     for c in (model.constant, *model.linear.values(), *model.quadratic.values()):
         try:
             bound += abs(float(c))
         except OverflowError as exc:
             raise MalformedInput("a coefficient exceeds the float range") from exc
-    if not math.isfinite(bound):
-        raise MalformedInput("the energies may exceed the float range")
+    if not math.isfinite(2 * bound):
+        raise MalformedInput("the energy spread may exceed the float range")
 
 
 def _compile_graph(path: str, weight: float, cap: int | None = None) -> IsingModel:
@@ -273,6 +274,10 @@ def _merged_csv(label_a, dist_a, label_b, dist_b) -> str:
 
 def cmd_compare(args) -> int:
     model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
+    if args.axis == "noise" and not args.noise:
+        raise MalformedInput("--axis noise requires --noise")
+    if args.axis == "mixer" and args.noise:
+        raise MalformedInput("--noise applies only to --axis noise")
     if args.axis == "mixer":
         rep_a = _solve_from_args(args, model, source, mixer=args.mixer_a)
         rep_b = _solve_from_args(args, model, source, mixer=args.mixer_b)
@@ -298,8 +303,6 @@ def cmd_compare(args) -> int:
         dist_a, dist_b = rep_a.final_distribution, rep_b.final_distribution
         label_a, label_b = rep_a.mixer.lower(), rep_b.mixer.lower()
     else:  # noise axis
-        if not args.noise:
-            raise MalformedInput("--axis noise requires --noise")
         nm = parse_noise(args.noise)
         rep = _solve_from_args(args, model, source)
         # Shared parameters: the noisy arm resamples the optimized circuit
@@ -381,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--weight", type=float, default=1.0)
     p.add_argument("--out")
-    p.add_argument("--drop-constant", action="store_true")
-    p.add_argument("--keep-constant", action="store_true")
+    constant = p.add_mutually_exclusive_group()
+    constant.add_argument("--drop-constant", action="store_true")
+    constant.add_argument("--keep-constant", action="store_true")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("spectrum", help="exact spectrum of the cost Hamiltonian")

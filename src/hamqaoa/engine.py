@@ -159,16 +159,18 @@ def _apply_gate(states: np.ndarray, g: Gate) -> None:
         _apply_1q(states, _rotation(g.kind, float(g.angle)), g.targets[0])
 
 
-def _check_circuit(c: ParamCircuit, cap: int) -> None:
-    if c.num_qubits > cap:
-        raise TooManyQubits(f"{c.num_qubits} qubits exceeds simulator cap {cap}")
+def _check_circuit(c: ParamCircuit) -> None:
+    if c.num_qubits > SIMULATOR_QUBIT_CAP:
+        raise TooManyQubits(
+            f"{c.num_qubits} qubits exceeds simulator cap {SIMULATOR_QUBIT_CAP}"
+        )
     if not c.is_bound:
         raise UnboundParameter("circuit has unbound symbolic parameters")
 
 
-def simulate(c: ParamCircuit, cap: int = SIMULATOR_QUBIT_CAP) -> Statevector:
+def simulate(c: ParamCircuit) -> Statevector:
     """Exact amplitudes of the bound circuit applied to |0...0>."""
-    _check_circuit(c, cap)
+    _check_circuit(c)
     state = np.zeros(1 << c.num_qubits, dtype=complex)
     state[0] = 1.0
     for g in c.gates:
@@ -252,7 +254,6 @@ def simulate_noisy(
     nm: NoiseModel,
     shots: int,
     seed: int,
-    cap: int = SIMULATOR_QUBIT_CAP,
 ) -> Distribution:
     """Pauli-trajectory sampling: one noisy circuit run per shot.
 
@@ -260,13 +261,13 @@ def simulate_noisy(
     for the same seed, because the measurement substream is shared and no
     noise draws are consumed.
     """
-    _check_circuit(c, cap)
+    _check_circuit(c)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = c.num_qubits
     u_meas = _measure_stream(seed, shots)
     if nm.p1 == 0.0 and nm.p2 == 0.0:
-        outcomes = _draw_outcomes(simulate(c, cap).probabilities(), u_meas)
+        outcomes = _draw_outcomes(simulate(c).probabilities(), u_meas)
     else:
         outcomes = _trajectory_outcomes(c, nm, seed, u_meas)
 

@@ -1,13 +1,14 @@
 """Nelder-Mead minimization and the end-to-end QAOA solve loop.
 
 The simplex method is self-contained (reflection / expansion /
-contraction / shrink with standard coefficients) and supports random
-restarts drawn from the parameter box.  Restarts share a global
-evaluation budget; the best restart wins, ties broken by lowest restart
-index.
+contraction / shrink with standard coefficients) and written as an
+ask/tell generator; ``minimize`` drives it through random restarts drawn
+from [0, 2pi).  Restarts share a global evaluation budget; the best
+restart wins, ties broken by lowest restart index.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -28,22 +29,19 @@ from .hamiltonian import DiagonalHamiltonian, full_spectrum
 from .qubo import IsingModel
 
 TWO_PI = 2.0 * np.pi
+XTOL = 1e-6
+FTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_evals: int = 4000
-    xtol: float = 1e-6
-    ftol: float = 1e-9
     restarts: int = 3
     seed: int = 0
-    bounds: tuple[float, float] = (0.0, TWO_PI)
 
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise ValueError("tolerances must be > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -57,108 +55,94 @@ class OptimizationResult:
     converged: bool
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _nelder_mead(f, x0, budget, xtol, ftol):
-    """One simplex run; returns (best_x, best_f, evals, converged, history)."""
+def _nelder_mead(x0):
+    """One simplex run from x0: yields each point to evaluate, takes its
+    value through ``send`` and returns once the simplex has converged."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     d = len(x0)
-    history = []
-    evals = 0
-    best_x, best_f = None, np.inf
-
-    def call(x):
-        nonlocal evals, best_x, best_f
-        if evals >= budget:
-            raise _BudgetExhausted
-        evals += 1
-        v = float(f(x))
-        history.append(v)
-        if v < best_f:
-            best_x, best_f = np.array(x), v
-        return v
-
     step = np.where(np.abs(x0) > 1e-12, 0.1 * np.abs(x0) + 0.25, 0.25)
     simplex = [np.asarray(x0, dtype=float)]
     for i in range(d):
         x = simplex[0].copy()
         x[i] += step[i]
         simplex.append(x)
-    converged = False
+    values = []
+    for x in simplex:
+        values.append((yield x))
 
-    try:
-        values = [call(x) for x in simplex]
-        while True:
-            order = np.argsort(values)
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
-            spread = np.max(np.abs(np.array(simplex[1:]) - simplex[0]))
-            if spread < xtol and values[-1] - values[0] < ftol:
-                converged = True
-                break
-            centroid = np.mean(simplex[:-1], axis=0)
-            reflected = centroid + alpha * (centroid - simplex[-1])
-            fr = call(reflected)
-            if values[0] <= fr < values[-2]:
-                simplex[-1], values[-1] = reflected, fr
-            elif fr < values[0]:
-                expanded = centroid + gamma * (reflected - centroid)
-                fe = call(expanded)
-                if fe < fr:
-                    simplex[-1], values[-1] = expanded, fe
-                else:
-                    simplex[-1], values[-1] = reflected, fr
+    while True:
+        order = np.argsort(values)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        spread = np.max(np.abs(np.array(simplex[1:]) - simplex[0]))
+        if spread < XTOL and values[-1] - values[0] < FTOL:
+            return
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = centroid + alpha * (centroid - simplex[-1])
+        fr = yield reflected
+        if values[0] <= fr < values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+        elif fr < values[0]:
+            expanded = centroid + gamma * (reflected - centroid)
+            fe = yield expanded
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
             else:
-                contracted = centroid + rho * (simplex[-1] - centroid)
-                fc = call(contracted)
-                if fc < values[-1]:
-                    simplex[-1], values[-1] = contracted, fc
-                else:
-                    for i in range(1, d + 1):
-                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                        values[i] = call(simplex[i])
-    except _BudgetExhausted:
-        pass
-
-    return best_x, best_f, evals, converged, history
+                simplex[-1], values[-1] = reflected, fr
+        else:
+            contracted = centroid + rho * (simplex[-1] - centroid)
+            fc = yield contracted
+            if fc < values[-1]:
+                simplex[-1], values[-1] = contracted, fc
+            else:
+                for i in range(1, d + 1):
+                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                    values[i] = yield simplex[i]
 
 
 def minimize(f, x0, cfg: OptimizerConfig) -> OptimizationResult:
-    """Minimize f over real vectors, with random restarts from the box.
+    """Minimize f over real vectors, with random restarts.
 
     Restart 0 starts at x0; further restarts draw uniform points from
-    cfg.bounds using cfg.seed, so results are deterministic.
+    [0, 2pi) using cfg.seed, so results are deterministic.  Raises
+    ValueError if f never returns a value below +inf.
     """
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
     if d < 1:
         raise ValueError("need at least one parameter")
-    lo, hi = cfg.bounds
     starts = [x0]
     for r in range(1, cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, r))
-        starts.append(lo + (hi - lo) * rng.random(d))
+        starts.append(TWO_PI * np.random.default_rng((cfg.seed, r)).random(d))
 
     per_restart = max(d + 2, cfg.max_evals // cfg.restarts)
     trace: list[tuple[int, float]] = []
     best_x, best_f, best_converged = None, np.inf, False
-    total = 0
     for start in starts:
-        if total >= cfg.max_evals:
+        if len(trace) >= cfg.max_evals:
             break
-        budget = min(per_restart, cfg.max_evals - total)
-        x, fx, used, conv, history = _nelder_mead(f, start, budget, cfg.xtol, cfg.ftol)
-        trace.extend((total + i + 1, v) for i, v in enumerate(history))
-        total += used
-        if fx < best_f:
-            best_x, best_f, best_converged = x, fx, conv
+        search = _nelder_mead(start)
+        x = next(search)
+        improved = converged = False
+        for _ in range(min(per_restart, cfg.max_evals - len(trace))):
+            v = float(f(x))
+            trace.append((len(trace) + 1, v))
+            if v < best_f:
+                best_x, best_f, improved = np.array(x), v, True
+            try:
+                x = search.send(v)
+            except StopIteration:
+                converged = True
+                break
+        if improved:
+            best_converged = converged
+    if best_x is None:
+        raise ValueError("the objective returned no finite value")
     return OptimizationResult(
-        best_params=np.asarray(best_x),
+        best_params=best_x,
         best_value=best_f,
         trace=trace,
-        evals_used=total,
+        evals_used=len(trace),
         converged=best_converged,
     )
 
@@ -178,7 +162,7 @@ class SolveReport:
     noise: NoiseModel | None = None
     manifest: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         obj = {
             "p": self.p,
             "mixer": self.mixer,
@@ -202,7 +186,7 @@ class SolveReport:
             "counts": dict(sorted(self.final_distribution.counts.items())),
             "manifest": self.manifest,
         }
-        return json.dumps(obj, indent=indent, sort_keys=False)
+        return json.dumps(obj, indent=2)
 
 
 def qaoa_solve(
@@ -233,23 +217,19 @@ def qaoa_solve(
     if manifest is None:
         manifest = {}
 
-    eval_counter = [0]
+    def measure(params, seed) -> Distribution:
+        """Shots of the ansatz at params: noisy trajectories, or exact sampling."""
+        gammas, betas = params[:p], params[p:]
+        if noisy:
+            return simulate_noisy(bind(circuit, gammas, betas), nm, shots, seed)
+        return sample(qaoa_state(h, gammas, betas, mixer), shots, seed)
+
+    eval_index = itertools.count(1)
 
     def objective(params):
-        gammas, betas = params[:p], params[p:]
         if noisy or sampled_objective:
-            eval_counter[0] += 1
-            bound = bind(circuit, gammas, betas)
-            if noisy:
-                dist = simulate_noisy(bound, nm, shots, (cfg.seed, eval_counter[0]))
-            else:
-                dist = sample(
-                    qaoa_state(h, gammas, betas, mixer),
-                    shots,
-                    (cfg.seed, eval_counter[0]),
-                )
-            return dist.mean_energy(h)
-        return expectation(qaoa_state(h, gammas, betas, mixer), h)
+            return measure(params, (cfg.seed, next(eval_index))).mean_energy(h)
+        return expectation(qaoa_state(h, params[:p], params[p:], mixer), h)
 
     if p == 0:
         params = np.zeros(0)
@@ -258,13 +238,11 @@ def qaoa_solve(
         result = minimize(objective, x0, cfg)
         params = result.best_params
 
-    gammas, betas = params[:p], params[p:]
     if noisy:
-        bound = bind(circuit, gammas, betas)
-        dist = simulate_noisy(bound, nm, shots, cfg.seed)
+        dist = measure(params, cfg.seed)
         exp_final = dist.mean_energy(h)
     else:
-        state = qaoa_state(h, gammas, betas, mixer)
+        state = qaoa_state(h, params[:p], params[p:], mixer)
         dist = sample(state, shots, cfg.seed)
         exp_final = expectation(state, h)
     if p == 0:

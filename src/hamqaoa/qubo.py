@@ -133,16 +133,11 @@ def edge_validity(g: Graph) -> QuboPolynomial:
     return QuboPolynomial(0, lin, quad)
 
 
-def assemble(g: Graph, weight=1, term_weights=(1, 1, 1)) -> QuboPolynomial:
-    """Full penalty polynomial weight * (w1*H1 + w2*H2 + w3*H3)."""
+def assemble(g: Graph, weight=1) -> QuboPolynomial:
+    """Full penalty polynomial weight * (H1 + H2 + H3)."""
     if Fraction(weight) <= 0:
         raise NonPositiveWeight(f"penalty weight must be > 0, got {weight}")
-    w1, w2, w3 = term_weights
-    poly = (
-        vertex_uniqueness(g.n).scale(w1)
-        + position_uniqueness(g.n).scale(w2)
-        + edge_validity(g).scale(w3)
-    )
+    poly = vertex_uniqueness(g.n) + position_uniqueness(g.n) + edge_validity(g)
     return poly.scale(weight)
 
 

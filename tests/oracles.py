@@ -286,3 +286,109 @@ def density_matrix_distribution(circuit, nm):
 def delta_tv(a, b):
     """Total-variation distance between two {outcome: probability} maps."""
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _closure_nelder_mead(f, x0, budget, xtol, ftol):
+    """One simplex run; returns (best_x, best_f, evals, converged, history)."""
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    d = len(x0)
+    history = []
+    evals = 0
+    best_x, best_f = None, np.inf
+
+    def call(x):
+        nonlocal evals, best_x, best_f
+        if evals >= budget:
+            raise _BudgetExhausted
+        evals += 1
+        v = float(f(x))
+        history.append(v)
+        if v < best_f:
+            best_x, best_f = np.array(x), v
+        return v
+
+    step = np.where(np.abs(x0) > 1e-12, 0.1 * np.abs(x0) + 0.25, 0.25)
+    simplex = [np.asarray(x0, dtype=float)]
+    for i in range(d):
+        x = simplex[0].copy()
+        x[i] += step[i]
+        simplex.append(x)
+    converged = False
+
+    try:
+        values = [call(x) for x in simplex]
+        while True:
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            spread = np.max(np.abs(np.array(simplex[1:]) - simplex[0]))
+            if spread < xtol and values[-1] - values[0] < ftol:
+                converged = True
+                break
+            centroid = np.mean(simplex[:-1], axis=0)
+            reflected = centroid + alpha * (centroid - simplex[-1])
+            fr = call(reflected)
+            if values[0] <= fr < values[-2]:
+                simplex[-1], values[-1] = reflected, fr
+            elif fr < values[0]:
+                expanded = centroid + gamma * (reflected - centroid)
+                fe = call(expanded)
+                if fe < fr:
+                    simplex[-1], values[-1] = expanded, fe
+                else:
+                    simplex[-1], values[-1] = reflected, fr
+            else:
+                contracted = centroid + rho * (simplex[-1] - centroid)
+                fc = call(contracted)
+                if fc < values[-1]:
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    for i in range(1, d + 1):
+                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                        values[i] = call(simplex[i])
+    except _BudgetExhausted:
+        pass
+
+    return best_x, best_f, evals, converged, history
+
+
+def closure_minimize(f, x0, cfg):
+    """Nelder-Mead with restarts as a closure that counts the budget and
+    keeps the best point, stopping by exception: ``optimizer.minimize``
+    before it drove an ask/tell generator, kept as its reference."""
+    from hamqaoa.optimizer import OptimizationResult
+
+    x0 = np.asarray(x0, dtype=float)
+    d = len(x0)
+    if d < 1:
+        raise ValueError("need at least one parameter")
+    lo, hi = 0.0, 2.0 * np.pi
+    starts = [x0]
+    for r in range(1, cfg.restarts):
+        rng = np.random.default_rng((cfg.seed, r))
+        starts.append(lo + (hi - lo) * rng.random(d))
+
+    per_restart = max(d + 2, cfg.max_evals // cfg.restarts)
+    trace = []
+    best_x, best_f, best_converged = None, np.inf, False
+    total = 0
+    for start in starts:
+        if total >= cfg.max_evals:
+            break
+        budget = min(per_restart, cfg.max_evals - total)
+        x, fx, used, conv, history = _closure_nelder_mead(f, start, budget, 1e-6, 1e-9)
+        trace.extend((total + i + 1, v) for i, v in enumerate(history))
+        total += used
+        if fx < best_f:
+            best_x, best_f, best_converged = x, fx, conv
+    return OptimizationResult(
+        best_params=np.asarray(best_x),
+        best_value=best_f,
+        trace=trace,
+        evals_used=total,
+        converged=best_converged,
+    )

@@ -51,6 +51,14 @@ def test_compile_square_drop_constant(capsys, square_file):
     assert "constant" not in obj
 
 
+def test_compile_constant_flags_exclude_each_other(capsys, triangle_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--graph", triangle_file, "--drop-constant", "--keep-constant"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "not allowed with" in err and "Traceback" not in err
+
+
 def test_compile_rejects_small_graph(capsys, tmp_path):
     path = tmp_path / "k2.json"
     path.write_text('{"n":2,"edges":[[1,2]]}')
@@ -106,6 +114,37 @@ def test_energy_bound_beyond_float_range_is_an_input_error(capsys, tmp_path, com
     err = capsys.readouterr().err
     assert code == 2
     assert "float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["solve", "--restarts", "1", "--seed", "0", "--p", "1", "--max-evals", "20"],
+    ],
+)
+def test_energy_spread_beyond_float_range_is_an_input_error(capsys, tmp_path, argv):
+    # the energies +-1e308 are floats; the gap between them is not, and the
+    # cost phase gamma * E overflows for most angles
+    path = tmp_path / "z.json"
+    path.write_text('[{"pauli": "Z", "coeff": 1e308}]')
+    code = main([*argv, "--terms", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "float range" in err and "Traceback" not in err
+
+
+# gamma * 8e307 overflows for gamma above 2.25, so the cost phase is NaN at
+# every angle this seed visits; those overflow warnings are the input's
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_objective_never_finite_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "z.json"
+    path.write_text('[{"pauli": "Z", "coeff": 8e307}]')
+    argv = ["solve", "--restarts", "1", "--seed", "0", "--p", "1", "--max-evals", "20"]
+    code = main([*argv, "--terms", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no finite value" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -280,6 +319,15 @@ def test_compare_noise_axis(capsys, triangle_file, tmp_path):
 def test_compare_noise_axis_requires_noise(capsys, triangle_file):
     code, _ = run(capsys, "compare", "--axis", "noise", "--graph", triangle_file)
     assert code == 2
+
+
+def test_compare_mixer_axis_refuses_noise(capsys, triangle_file):
+    code = main(
+        ["compare", "--axis", "mixer", "--noise", "p1=0.3", "--graph", triangle_file]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--noise applies only to --axis noise" in err and "Traceback" not in err
 
 
 def test_rerun_reproduces_output(capsys, triangle_file, tmp_path):

@@ -12,6 +12,8 @@ from hamqaoa import (
     qaoa_solve,
     simulate_noisy,
 )
+from hamqaoa import optimizer
+from oracles import closure_minimize
 
 
 def bowl(x):
@@ -69,8 +71,98 @@ def test_restarts_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_evals=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(xtol=-1)
+
+
+def nan_beyond_two(x):
+    return float("nan") if x[0] > 2.0 else bowl(x)
+
+
+def outcome(r):
+    # repr keeps NaN values comparable and every float exact
+    return (
+        r.best_params.tobytes(), repr(r.best_value), repr(r.trace), r.evals_used, r.converged
+    )
+
+
+@pytest.mark.parametrize(
+    "f, x0, max_evals, restarts",
+    [
+        (bowl, np.zeros(4), 3, 1),
+        (bowl, np.full(4, 5.0), 13, 3),
+        (bowl, np.full(4, 5.0), 7, 4),
+        (rosenbrock, np.array([2.0, -1.0]), 800, 3),
+        (lambda x: 7.5, np.zeros(3), 1000, 2),
+        (nan_beyond_two, np.full(3, 1.5), 600, 2),
+    ],
+    ids=[
+        "budget-ends-inside-initial-simplex",
+        "floor-of-d+2-cuts-last-restart-short",
+        "floor-of-d+2-skips-last-two-restarts",
+        "budget-not-divisible-by-restarts",
+        "constant-converges-by-shrinking",
+        "nan-on-some-points",
+    ],
+)
+def test_driver_matches_closure_oracle(f, x0, max_evals, restarts):
+    cfg = OptimizerConfig(max_evals=max_evals, restarts=restarts, seed=4)
+    assert outcome(minimize(f, x0, cfg)) == outcome(closure_minimize(f, x0, cfg))
+
+
+def test_nan_case_reaches_nan_and_finite_points():
+    cfg = OptimizerConfig(max_evals=600, restarts=2, seed=4)
+    r = minimize(nan_beyond_two, np.full(3, 1.5), cfg)
+    values = [v for _, v in r.trace]
+    assert any(np.isnan(values)) and np.isfinite(r.best_value)
+
+
+def test_convergence_on_the_last_evaluation_of_the_budget():
+    x0 = np.array([0.3, -0.2])
+    free = minimize(bowl, x0, OptimizerConfig(max_evals=100_000, restarts=1))
+    assert free.converged
+    for max_evals, converged in [(free.evals_used, True), (free.evals_used - 1, False)]:
+        cfg = OptimizerConfig(max_evals=max_evals, restarts=1)
+        r = minimize(bowl, x0, cfg)
+        assert r.converged is converged
+        assert outcome(r) == outcome(closure_minimize(bowl, x0, cfg))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_objective_with_no_finite_value_is_refused(value):
+    with pytest.raises(ValueError, match="no finite value"):
+        minimize(lambda x: value, np.zeros(2), OptimizerConfig(max_evals=50, restarts=2))
+
+
+def test_solves_unchanged_through_closure_oracle(
+    triangle_model, square_fixture_model, monkeypatch
+):
+    def reports():
+        noise = NoiseModel(0.001, 0.01, 0.01)
+        return [
+            qaoa_solve(triangle_model, 2, "RX").to_json(),
+            qaoa_solve(triangle_model, 2, "RY").to_json(),
+            qaoa_solve(
+                triangle_model, 2, "RX", shots=200, sampled_objective=True,
+                cfg=OptimizerConfig(seed=8, max_evals=150, restarts=3),
+            ).to_json(),
+            qaoa_solve(
+                triangle_model, 1, "RX", nm=noise, shots=500,
+                cfg=OptimizerConfig(seed=6, max_evals=60, restarts=2),
+            ).to_json(),
+            qaoa_solve(
+                square_fixture_model, 8, "RX", cfg=OptimizerConfig(max_evals=300)
+            ).to_json(),
+        ]
+
+    driven = reports()
+    calls = []
+
+    def oracle(f, x0, cfg):
+        calls.append(cfg)
+        return closure_minimize(f, x0, cfg)
+
+    monkeypatch.setattr(optimizer, "minimize", oracle)
+    assert reports() == driven
+    assert len(calls) == len(driven)
 
 
 def test_triangle_solve_finds_solutions(triangle_model):
