@@ -272,12 +272,35 @@ def _merged_csv(label_a, dist_a, label_b, dist_b) -> str:
     return "\n".join(lines)
 
 
-def cmd_compare(args) -> int:
-    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
+# The compare flags that only one axis reads, with their defaults.
+_AXIS_FLAGS = {
+    "mixer": {"mixer_a": "rx", "mixer_b": "ry"},
+    "noise": {"mixer": "rx", "noise": None},
+}
+
+
+def _resolve_axis_flags(args) -> None:
+    """Refuse a compare flag that the chosen axis ignores, and give the
+    flags it reads their defaults."""
+    for axis, flags in _AXIS_FLAGS.items():
+        for name, default in flags.items():
+            if axis != args.axis and getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise MalformedInput(f"{flag} applies only to --axis {axis}")
+            if axis == args.axis and getattr(args, name) is None:
+                setattr(args, name, default)
     if args.axis == "noise" and not args.noise:
         raise MalformedInput("--axis noise requires --noise")
-    if args.axis == "mixer" and args.noise:
-        raise MalformedInput("--noise applies only to --axis noise")
+
+
+def cmd_compare(args) -> int:
+    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
+    _resolve_axis_flags(args)
+    solver_params = dict(
+        restarts=args.restarts,
+        max_evals=args.max_evals,
+        sampled_objective=args.sampled_objective,
+    )
     if args.axis == "mixer":
         rep_a = _solve_from_args(args, model, source, mixer=args.mixer_a)
         rep_b = _solve_from_args(args, model, source, mixer=args.mixer_b)
@@ -298,6 +321,7 @@ def cmd_compare(args) -> int:
                 p=args.p,
                 shots=args.shots,
                 seed=args.seed,
+                **solver_params,
             ),
         }
         dist_a, dist_b = rep_a.final_distribution, rep_b.final_distribution
@@ -337,6 +361,7 @@ def cmd_compare(args) -> int:
                 mixer=args.mixer,
                 shots=args.shots,
                 seed=args.seed,
+                **solver_params,
             ),
         }
         dist_a, dist_b = rep.final_distribution, noisy_dist
@@ -402,9 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="paired runs along one axis")
     _add_common(p, solve=True)
     p.add_argument("--axis", choices=("mixer", "noise"), required=True)
-    p.add_argument("--mixer-a", choices=("rx", "ry"), default="rx")
-    p.add_argument("--mixer-b", choices=("rx", "ry"), default="ry")
-    p.set_defaults(func=cmd_compare)
+    p.add_argument("--mixer-a", choices=("rx", "ry"), help="--axis mixer only (default rx)")
+    p.add_argument("--mixer-b", choices=("rx", "ry"), help="--axis mixer only (default ry)")
+    # defaults are filled in by _resolve_axis_flags, so that a flag the
+    # axis ignores is refused only when it is given
+    p.set_defaults(func=cmd_compare, mixer=None)
     return parser
 
 

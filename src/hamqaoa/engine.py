@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import Gate, Param, ParamCircuit, check_mixer
 from .errors import DimensionMismatch, TooManyQubits, UnboundParameter
-from .hamiltonian import DiagonalHamiltonian, energy_of, index_to_bits
+from .hamiltonian import DiagonalHamiltonian, _bit_strings, energy_of
 
 SIMULATOR_QUBIT_CAP = 24
 DEFAULT_SHOTS = 10000
@@ -230,9 +230,8 @@ def _counts(outcomes: np.ndarray, q: int) -> dict[str, int]:
     """Bitstring counts of outcome indices, keyed in order of first
     occurrence; only distinct outcomes are turned into strings."""
     values, first, counts = np.unique(outcomes, return_index=True, return_counts=True)
-    return {
-        index_to_bits(int(values[j]), q): int(counts[j]) for j in np.argsort(first)
-    }
+    order = np.argsort(first)
+    return dict(zip(_bit_strings(values[order], q), counts[order].tolist()))
 
 
 def sample(s: Statevector, shots: int, seed: int) -> Distribution:

@@ -55,14 +55,32 @@ class DiagonalHamiltonian:
         read-only array.
         """
         if self._energies is None:
-            idx = np.arange(1 << self.num_qubits, dtype=np.uint64)
-            out = np.full(idx.shape, self.constant)
-            for mask, coeff in self.terms:
-                parity = np.bitwise_count(idx & np.uint64(mask)) & 1
-                out += coeff * (1.0 - 2.0 * parity)
+            # A term's sign on index (hi, lo) is its sign on the high bits
+            # times its sign on the low bits, so each term adds the outer
+            # product of two half-register rows.  Every product is exactly
+            # +-coeff and terms are added in order, so each entry is rounded
+            # as a per-term pass over the full register would round it.
+            q = self.num_qubits
+            lo = q // 2
+            masks = np.array([m for m, _ in self.terms], dtype=np.uint64)
+            coeffs = np.array([c for _, c in self.terms], dtype=float)
+            s_lo = _sign_table(masks & np.uint64((1 << lo) - 1), lo)
+            s_hi = coeffs[:, None] * _sign_table(masks >> np.uint64(lo), q - lo)
+            out = np.full(1 << q, self.constant)
+            block = out.reshape(1 << (q - lo), 1 << lo)
+            term = np.empty_like(block)
+            for hi_row, lo_row in zip(s_hi, s_lo):
+                block += np.multiply.outer(hi_row, lo_row, out=term)
             out.flags.writeable = False
             object.__setattr__(self, "_energies", out)
         return self._energies
+
+
+def _sign_table(masks: np.ndarray, bits: int) -> np.ndarray:
+    """(-1)^parity(index & mask) for every mask and every bits-bit index."""
+    idx = np.arange(1 << bits, dtype=np.uint64)
+    parity = np.bitwise_count(idx[None, :] & masks[:, None]) & 1
+    return 1.0 - 2.0 * parity
 
 
 def bits_to_index(bits: str) -> int:
@@ -72,6 +90,16 @@ def bits_to_index(bits: str) -> int:
 
 def index_to_bits(index: int, num_qubits: int) -> str:
     return "".join("1" if (index >> k) & 1 else "0" for k in range(num_qubits))
+
+
+def _bit_strings(indices: np.ndarray, num_qubits: int) -> list[str]:
+    """``index_to_bits`` of every index, in order, in one numpy pass."""
+    if num_qubits == 0:
+        return [""] * len(indices)
+    index_bytes = np.asarray(indices, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    chars = np.unpackbits(index_bytes, axis=1, count=num_qubits, bitorder="little")
+    chars += np.uint8(ord("0"))
+    return chars.view(f"S{num_qubits}").ravel().astype(f"U{num_qubits}").tolist()
 
 
 def energy_of(h: DiagonalHamiltonian, bits: str) -> float:
@@ -105,7 +133,7 @@ class Spectrum:
     @property
     def ground_states(self) -> frozenset[str]:
         ground = np.flatnonzero(self.energies == self.energies.min())
-        return frozenset(index_to_bits(int(i), self.num_qubits) for i in ground)
+        return frozenset(_bit_strings(ground, self.num_qubits))
 
     @property
     def gap(self) -> float:
@@ -123,12 +151,11 @@ class Spectrum:
         order = np.argsort(self.energies, kind="stable")
         sorted_e = self.energies[order]
         starts = np.flatnonzero(np.diff(sorted_e)) + 1
+        states = _bit_strings(order, self.num_qubits)
+        bounds = np.r_[0, starts, len(order)].tolist()
         return tuple(
-            (
-                float(sorted_e[start]),
-                tuple(index_to_bits(int(i), self.num_qubits) for i in group),
-            )
-            for start, group in zip(np.r_[0, starts], np.split(order, starts))
+            (float(sorted_e[start]), tuple(states[start:end]))
+            for start, end in zip(bounds, bounds[1:])
         )
 
 

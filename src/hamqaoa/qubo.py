@@ -15,11 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, starmap
 
 from .errors import NonPositiveWeight, UnmappedVariable
 from .graph import Graph, non_edges, qubit_index
 
 Var = tuple[int, int]  # (v, j) with v, j in 2..n
+
+_MINUS_ONE = Fraction(-1)
+_TWO = Fraction(2)
+
+
+def _exact(c) -> Fraction:
+    """c as a Fraction; a Fraction is kept as it is, not copied."""
+    return c if type(c) is Fraction else Fraction(c)
 
 
 class QuboPolynomial:
@@ -32,21 +41,21 @@ class QuboPolynomial:
     __slots__ = ("constant", "linear", "quadratic")
 
     def __init__(self, constant=0, linear=None, quadratic=None):
-        self.constant = Fraction(constant)
+        self.constant = _exact(constant)
         self.linear: dict[Var, Fraction] = {
-            k: Fraction(c) for k, c in (linear or {}).items() if c != 0
+            k: _exact(c) for k, c in (linear or {}).items() if c != 0
         }
         self.quadratic: dict[tuple[Var, Var], Fraction] = {
-            k: Fraction(c) for k, c in (quadratic or {}).items() if c != 0
+            k: _exact(c) for k, c in (quadratic or {}).items() if c != 0
         }
 
     def __add__(self, other: "QuboPolynomial") -> "QuboPolynomial":
         lin = dict(self.linear)
         for k, c in other.linear.items():
-            lin[k] = lin.get(k, Fraction(0)) + c
+            lin[k] = lin[k] + c if k in lin else c
         quad = dict(self.quadratic)
         for k, c in other.quadratic.items():
-            quad[k] = quad.get(k, Fraction(0)) + c
+            quad[k] = quad[k] + c if k in quad else c
         return QuboPolynomial(self.constant + other.constant, lin, quad)
 
     def scale(self, factor) -> "QuboPolynomial":
@@ -85,30 +94,26 @@ def _pair(a: Var, b: Var) -> tuple[Var, Var]:
     return (a, b) if a < b else (b, a)
 
 
-def _row_penalty(terms: list[Var]) -> QuboPolynomial:
-    # (1 - sum x_i)^2 with x^2 = x:  1 - sum x_i + 2 sum_{i<j} x_i x_j
-    lin = {t: Fraction(-1) for t in terms}
-    quad = {}
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            quad[_pair(terms[i], terms[j])] = Fraction(2)
-    return QuboPolynomial(1, lin, quad)
+def _row_penalties(rows: list[list[Var]]) -> QuboPolynomial:
+    # sum over rows of (1 - sum x_i)^2 with x^2 = x:
+    # 1 - sum x_i + 2 sum_{i<j} x_i x_j.  No two rows share a variable,
+    # so the rows' terms never meet and are collected in place.
+    lin: dict[Var, Fraction] = {}
+    quad: dict[tuple[Var, Var], Fraction] = {}
+    for terms in rows:
+        lin.update(dict.fromkeys(terms, _MINUS_ONE))
+        quad.update(dict.fromkeys(starmap(_pair, combinations(terms, 2)), _TWO))
+    return QuboPolynomial(len(rows), lin, quad)
 
 
 def vertex_uniqueness(n: int) -> QuboPolynomial:
     """Each free vertex occupies exactly one position."""
-    poly = QuboPolynomial()
-    for v in range(2, n + 1):
-        poly = poly + _row_penalty([(v, j) for j in range(2, n + 1)])
-    return poly
+    return _row_penalties([[(v, j) for j in range(2, n + 1)] for v in range(2, n + 1)])
 
 
 def position_uniqueness(n: int) -> QuboPolynomial:
     """Each free position is occupied by exactly one vertex."""
-    poly = QuboPolynomial()
-    for j in range(2, n + 1):
-        poly = poly + _row_penalty([(v, j) for v in range(2, n + 1)])
-    return poly
+    return _row_penalties([[(v, j) for v in range(2, n + 1)] for j in range(2, n + 1)])
 
 
 def edge_validity(g: Graph) -> QuboPolynomial:
@@ -119,17 +124,17 @@ def edge_validity(g: Graph) -> QuboPolynomial:
     row/column 1 is identically 0.
     """
     n = g.n
-    lin: dict[Var, Fraction] = {}
-    quad: dict[tuple[Var, Var], Fraction] = {}
+    lin: dict[Var, int] = {}
+    quad: dict[tuple[Var, Var], int] = {}
     for u, v in sorted(non_edges(g)):
         if u == 1:
             for k in (2, n):
-                lin[(v, k)] = lin.get((v, k), Fraction(0)) + 1
+                lin[(v, k)] = lin.get((v, k), 0) + 1
             continue
         for a, b in ((u, v), (v, u)):
             for j in range(2, n):
                 key = _pair((a, j), (b, j + 1))
-                quad[key] = quad.get(key, Fraction(0)) + 1
+                quad[key] = quad.get(key, 0) + 1
     return QuboPolynomial(0, lin, quad)
 
 
@@ -188,17 +193,22 @@ def to_ising(q: QuboPolynomial, n: int) -> IsingModel:
     constant = q.constant
     linear: dict[int, Fraction] = {}
     quadratic: dict[tuple[int, int], Fraction] = {}
+
+    def sub(k: int, c: Fraction) -> None:
+        linear[k] = linear[k] - c if k in linear else -c
+
     for var, c in q.linear.items():
-        k = qb(var)
-        constant += c * half
-        linear[k] = linear.get(k, Fraction(0)) - c * half
+        ch = c * half
+        constant += ch
+        sub(qb(var), ch)
     for (a, b), c in q.quadratic.items():
         ja, jb = qb(a), qb(b)
-        constant += c * quarter
-        linear[ja] = linear.get(ja, Fraction(0)) - c * quarter
-        linear[jb] = linear.get(jb, Fraction(0)) - c * quarter
+        cq = c * quarter
+        constant += cq
+        sub(ja, cq)
+        sub(jb, cq)
         key = (min(ja, jb), max(ja, jb))
-        quadratic[key] = quadratic.get(key, Fraction(0)) + c * quarter
+        quadratic[key] = quadratic[key] + cq if key in quadratic else cq
     return IsingModel(num_qubits, constant, linear, quadratic)
 
 

@@ -5,6 +5,7 @@ matrix and multiplies them out; it shares no code with the engine.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,6 +126,17 @@ def grouped_spectrum(h):
         "gap": levels[1][0] - ground_energy if len(levels) > 1 else 0.0,
         "mean_energy": sum(e * len(s) for e, s in levels) / len(energies),
     }
+
+
+def parity_energies(h):
+    """Energy vector of a DiagonalHamiltonian by one pass over the full
+    register per term, as a reference for ``DiagonalHamiltonian.energies``."""
+    idx = np.arange(1 << h.num_qubits, dtype=np.uint64)
+    out = np.full(idx.shape, h.constant)
+    for mask, coeff in h.terms:
+        parity = np.bitwise_count(idx & np.uint64(mask)) & 1
+        out += coeff * (1.0 - 2.0 * parity)
+    return out
 
 
 def _rng(seed, tag):
@@ -391,4 +403,90 @@ def closure_minimize(f, x0, cfg):
         trace=trace,
         evals_used=total,
         converged=best_converged,
+    )
+
+
+class _RewrappingQubo:
+    """Penalty polynomial that copies every coefficient into a new Fraction
+    on each construction, sum and scaling."""
+
+    def __init__(self, constant=0, linear=None, quadratic=None):
+        self.constant = Fraction(constant)
+        self.linear = {k: Fraction(c) for k, c in (linear or {}).items() if c != 0}
+        self.quadratic = {
+            k: Fraction(c) for k, c in (quadratic or {}).items() if c != 0
+        }
+
+    def __add__(self, other):
+        lin = dict(self.linear)
+        for k, c in other.linear.items():
+            lin[k] = lin.get(k, Fraction(0)) + c
+        quad = dict(self.quadratic)
+        for k, c in other.quadratic.items():
+            quad[k] = quad.get(k, Fraction(0)) + c
+        return _RewrappingQubo(self.constant + other.constant, lin, quad)
+
+    def scale(self, factor):
+        f = Fraction(factor)
+        return _RewrappingQubo(
+            self.constant * f,
+            {k: c * f for k, c in self.linear.items()},
+            {k: c * f for k, c in self.quadratic.items()},
+        )
+
+
+def _rewrapping_row_penalty(terms):
+    def pair(a, b):
+        return (a, b) if a < b else (b, a)
+
+    lin = {t: Fraction(-1) for t in terms}
+    quad = {}
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            quad[pair(terms[i], terms[j])] = Fraction(2)
+    return _RewrappingQubo(1, lin, quad)
+
+
+def rewrapping_compile(g, weight=1):
+    """(constant, linear, quadratic) of the Ising model of graph g, built by
+    summing one penalty row at a time and re-wrapping every coefficient, as
+    a reference for ``to_ising(assemble(g, weight), g.n)``."""
+    from hamqaoa.graph import non_edges, qubit_index
+
+    n = g.n
+    poly = _RewrappingQubo()
+    for v in range(2, n + 1):
+        poly = poly + _rewrapping_row_penalty([(v, j) for j in range(2, n + 1)])
+    for j in range(2, n + 1):
+        poly = poly + _rewrapping_row_penalty([(v, j) for v in range(2, n + 1)])
+    lin, quad = {}, {}
+    for u, v in sorted(non_edges(g)):
+        if u == 1:
+            for k in (2, n):
+                lin[(v, k)] = lin.get((v, k), Fraction(0)) + 1
+            continue
+        for a, b in ((u, v), (v, u)):
+            for j in range(2, n):
+                key = ((a, j), (b, j + 1)) if (a, j) < (b, j + 1) else ((b, j + 1), (a, j))
+                quad[key] = quad.get(key, Fraction(0)) + 1
+    poly = (poly + _RewrappingQubo(0, lin, quad)).scale(weight)
+
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    constant = poly.constant
+    linear, quadratic = {}, {}
+    for (v, j), c in poly.linear.items():
+        k = qubit_index(v, j, n)
+        constant += c * half
+        linear[k] = linear.get(k, Fraction(0)) - c * half
+    for (a, b), c in poly.quadratic.items():
+        ja, jb = qubit_index(*a, n), qubit_index(*b, n)
+        constant += c * quarter
+        linear[ja] = linear.get(ja, Fraction(0)) - c * quarter
+        linear[jb] = linear.get(jb, Fraction(0)) - c * quarter
+        key = (min(ja, jb), max(ja, jb))
+        quadratic[key] = quadratic.get(key, Fraction(0)) + c * quarter
+    return (
+        constant,
+        {k: c for k, c in linear.items() if c != 0},
+        {k: c for k, c in quadratic.items() if c != 0},
     )

@@ -330,6 +330,44 @@ def test_compare_mixer_axis_refuses_noise(capsys, triangle_file):
     assert "--noise applies only to --axis noise" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--axis", "mixer", "--mixer", "ry"], "--mixer applies only to --axis noise"),
+        (
+            ["--axis", "noise", "--noise", "p1=0.01", "--mixer-a", "ry"],
+            "--mixer-a applies only to --axis mixer",
+        ),
+        (
+            ["--axis", "noise", "--noise", "p1=0.01", "--mixer-b", "rx"],
+            "--mixer-b applies only to --axis mixer",
+        ),
+    ],
+)
+def test_compare_refuses_a_flag_its_axis_ignores(capsys, triangle_file, argv, message):
+    code = main(["compare", "--graph", triangle_file, *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis", ["mixer", "noise"])
+def test_compare_manifest_names_every_parameter(capsys, triangle_file, axis):
+    noise = ["--noise", "p1=0.01"] if axis == "noise" else []
+    obj = run_json(
+        capsys,
+        "compare", "--axis", axis, "--graph", triangle_file, "--rescale", "2", *noise,
+        "--p", "1", "--shots", "100", "--max-evals", "40", "--restarts", "2",
+        "--sampled-objective",
+    )
+    manifest = obj["manifest"]
+    arms = ["mixer_a", "mixer_b"] if axis == "mixer" else ["mixer", "noise"]
+    for key in ["p", "shots", "seed", "restarts", "max_evals", "sampled_objective", *arms]:
+        assert key in manifest
+    assert manifest["restarts"] == 2 and manifest["max_evals"] == 40
+    assert manifest["sampled_objective"] is True
+
+
 def test_rerun_reproduces_output(capsys, triangle_file, tmp_path):
     args = [
         "solve", "--graph", triangle_file, "--p", "1", "--seed", "7",

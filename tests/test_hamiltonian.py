@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from hamqaoa import (
@@ -10,8 +13,9 @@ from hamqaoa import (
     to_ising,
 )
 from hamqaoa.errors import LengthMismatch, TooManyQubits
-from hamqaoa.hamiltonian import index_to_bits
-from oracles import grouped_spectrum
+from hamqaoa.cli import reference_square_model
+from hamqaoa.hamiltonian import _bit_strings, index_to_bits
+from oracles import grouped_spectrum, parity_energies
 
 
 def test_energy_of_triangle_model(triangle_model):
@@ -87,6 +91,69 @@ def test_energies_computed_once_and_read_only(triangle_model):
     with pytest.raises(ValueError):
         first[0] = 0.0
     assert h == DiagonalHamiltonian.from_ising(triangle_model)
+
+
+def _compiled(n, edges, weight):
+    return DiagonalHamiltonian.from_ising(to_ising(assemble(make_graph(n, edges), weight), n))
+
+
+def _random_terms(q, num_terms, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        (int(rng.integers(0, 1 << q)), float(rng.normal())) for _ in range(num_terms)
+    )
+
+
+def _energy_cases():
+    graphs = {
+        "triangle": (3, [(1, 2), (2, 3), (1, 3)]),
+        "square": (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+        "pentagon": (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+    }
+    for name, (n, edges) in graphs.items():
+        for weight in (1, Fraction(3, 2)):
+            yield f"{name}-w{weight}", lambda n=n, e=edges, w=weight: _compiled(n, e, w)
+    yield "square-fixture", lambda: DiagonalHamiltonian.from_ising(reference_square_model())
+    for q in (0, 1, 2, 3, 9, 16, 20):
+        yield f"random-q{q}", lambda q=q: DiagonalHamiltonian(
+            q, _random_terms(q, 2 * q + 1, q), 0.25 * q - 1.0
+        )
+    # q = 9 splits into 4 low and 5 high index bits
+    masks = {
+        "low-half-masks": (0b1, 0b1010, 0b1111),
+        "high-half-masks": (0b10000, 0b110010000, 0b111110000),
+        "crossing-masks": (0b11000, 0b100000001, 0b111111111),
+    }
+    for name, m in masks.items():
+        yield name, lambda m=m: DiagonalHamiltonian(9, tuple(zip(m, (0.5, -1.25, 3.0))))
+    yield "zero-coefficients", lambda: DiagonalHamiltonian(
+        3, ((0b1, 0.0), (0b110, -0.0), (0b11, 1.5)), 2.0
+    )
+    yield "negative-zero-constant", lambda: DiagonalHamiltonian(
+        4, ((0b1001, 0.0), (0b10, -0.0)), -0.0
+    )
+    yield "no-terms", lambda: DiagonalHamiltonian(5, (), -0.0)
+
+
+ENERGY_CASES = dict(_energy_cases())
+
+
+@pytest.mark.parametrize("build", ENERGY_CASES.values(), ids=ENERGY_CASES.keys())
+def test_energies_match_parity_oracle(build):
+    h = build()
+    energies = h.energies()
+    assert energies.tobytes() == parity_energies(h).tobytes()
+    assert h.energies() is energies
+    assert not energies.flags.writeable
+    assert energies.flags.owndata
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 9, 16])
+def test_bit_strings_match_index_to_bits(q):
+    rng = np.random.default_rng(q)
+    indices = np.r_[np.arange(min(1 << q, 64)), rng.integers(0, 1 << q, 200)]
+    assert _bit_strings(indices, q) == [index_to_bits(int(i), q) for i in indices]
+    assert _bit_strings(indices[:0], q) == []
 
 
 def test_spectrum_qubit_cap():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hamqaoa import (
 )
 from hamqaoa.errors import NonPositiveWeight, UnmappedVariable
 from hamqaoa.hamiltonian import index_to_bits
+from oracles import rewrapping_compile
 
 
 def assign_from_bits(bits, n):
@@ -207,3 +209,24 @@ def test_from_term_list_infers_width():
     assert m.num_qubits == 2
     assert m.linear == {2: -2}
     assert m.quadratic == {(1, 2): 1}
+
+
+def _graphs_for_compiler_oracle():
+    yield from all_graphs(3)
+    yield from all_graphs(4)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    rng = random.Random(5)
+    for _ in range(64):
+        yield make_graph(5, [e for e in pairs if rng.random() < 0.5])
+
+
+def test_compile_matches_rewrapping_oracle():
+    for g in _graphs_for_compiler_oracle():
+        for weight in (1, 2, Fraction(3, 2), 0.1):
+            m = to_ising(assemble(g, weight), g.n)
+            constant, linear, quadratic = rewrapping_compile(g, weight)
+            assert m.constant == constant
+            assert m.linear == linear and list(m.linear) == list(linear)
+            assert m.quadratic == quadratic and list(m.quadratic) == list(quadratic)
+            values = (m.constant, *m.linear.values(), *m.quadratic.values())
+            assert all(type(v) is Fraction for v in values)
