@@ -8,12 +8,12 @@ Noise is a stochastic unraveling: each shot is one trajectory through
 the circuit in which, after every gate, a uniformly random non-identity
 Pauli is inserted on the touched qubit(s) with probability p1 (1-qubit
 gates) or p2 (2-qubit gates), followed by an optional classical readout
-flip per bit.  Every error is drawn before any state is evolved.  Shots
-without errors share the error-free state; the others are replayed
-together in batches of at most ``_BATCH_AMPLITUDES`` amplitudes, one
-state per column, so one numpy operation per gate serves a whole batch.
-Each replayed state sees the arithmetic of a replay of its own, so the
-counts do not depend on the batching.
+flip per bit.  Every noise model, zero noise too, takes one path: all
+errors are drawn first; shots without errors draw from the error-free
+state as ``sample`` does; the others are replayed in batches of at most
+``_BATCH_AMPLITUDES`` amplitudes, one state per column, so one numpy
+operation per gate serves a whole batch.  Each replayed state sees the
+arithmetic of a replay of its own, so counts do not depend on batching.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -26,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, Param, ParamCircuit, check_mixer
+from .circuit import Gate, ParamCircuit, check_mixer
 from .errors import DimensionMismatch, TooManyQubits, UnboundParameter
 from .hamiltonian import DiagonalHamiltonian, _bit_strings, energy_of
 
 SIMULATOR_QUBIT_CAP = 24
 DEFAULT_SHOTS = 10000
+# Most shots one call draws: the per-shot arrays (uniforms, outcomes and
+# shots x q readout flips) stay near 230 MB at the qubit cap.
+SHOT_CAP = 1 << 20
 
 # Amplitudes in one batch of replayed trajectories (1 MiB at complex128,
 # so that a batch and its temporaries stay in a core's cache); at least
@@ -153,29 +156,40 @@ def _apply_gate(states: np.ndarray, g: Gate) -> None:
         _apply_1q(states, _H, g.targets[0])
     elif g.kind == "CNOT":
         _apply_cnot(states, g.targets[0], g.targets[1])
-    elif isinstance(g.angle, Param):
-        raise UnboundParameter(f"gate {g.kind} has symbolic angle {g.angle}")
     else:
         _apply_1q(states, _rotation(g.kind, float(g.angle)), g.targets[0])
 
 
+def _check_qubits(q: int) -> None:
+    if q > SIMULATOR_QUBIT_CAP:
+        raise TooManyQubits(f"{q} qubits exceeds simulator cap {SIMULATOR_QUBIT_CAP}")
+
+
 def _check_circuit(c: ParamCircuit) -> None:
-    if c.num_qubits > SIMULATOR_QUBIT_CAP:
-        raise TooManyQubits(
-            f"{c.num_qubits} qubits exceeds simulator cap {SIMULATOR_QUBIT_CAP}"
-        )
+    _check_qubits(c.num_qubits)
     if not c.is_bound:
         raise UnboundParameter("circuit has unbound symbolic parameters")
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a shot count outside 1..SHOT_CAP."""
+    if not 1 <= shots <= SHOT_CAP:
+        raise ValueError(f"shots must be in 1..{SHOT_CAP}, got {shots}")
+
+
+def _evolve(gates, q: int) -> np.ndarray:
+    """|0...0> on q qubits through the given bound gates."""
+    state = np.zeros(1 << q, dtype=complex)
+    state[0] = 1.0
+    for g in gates:
+        _apply_gate(state, g)
+    return state
 
 
 def simulate(c: ParamCircuit) -> Statevector:
     """Exact amplitudes of the bound circuit applied to |0...0>."""
     _check_circuit(c)
-    state = np.zeros(1 << c.num_qubits, dtype=complex)
-    state[0] = 1.0
-    for g in c.gates:
-        _apply_gate(state, g)
-    return Statevector(state, c.num_qubits)
+    return Statevector(_evolve(c.gates, c.num_qubits), c.num_qubits)
 
 
 def qaoa_state(
@@ -190,6 +204,7 @@ def qaoa_state(
     """
     mixer = check_mixer(mixer)
     q = h.num_qubits
+    _check_qubits(q)
     dim = 1 << q
     energies = h.energies() - h.constant
     state = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
@@ -216,10 +231,6 @@ def _substream(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng((*base, tag))
 
 
-def _measure_stream(seed, shots: int) -> np.ndarray:
-    return _substream(seed, 1).random(shots)
-
-
 def _draw_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs)
     cum[-1] = 1.0
@@ -236,16 +247,9 @@ def _counts(outcomes: np.ndarray, q: int) -> dict[str, int]:
 
 def sample(s: Statevector, shots: int, seed: int) -> Distribution:
     """Draw i.i.d. computational-basis measurements from |amplitude|^2."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    outcomes = _draw_outcomes(s.probabilities(), _measure_stream(seed, shots))
+    check_shots(shots)
+    outcomes = _draw_outcomes(s.probabilities(), _substream(seed, 1).random(shots))
     return Distribution(_counts(outcomes, s.num_qubits), shots)
-
-
-def _error_probs(c: ParamCircuit, nm: NoiseModel) -> np.ndarray:
-    return np.array(
-        [nm.p2 if g.kind == "CNOT" else nm.p1 for g in c.gates], dtype=float
-    )
 
 
 def simulate_noisy(
@@ -257,18 +261,12 @@ def simulate_noisy(
     """Pauli-trajectory sampling: one noisy circuit run per shot.
 
     With nm = (0, 0, 0) the output equals ``sample(simulate(c), ...)``
-    for the same seed, because the measurement substream is shared and no
-    noise draws are consumed.
+    for the same seed: no shot errs, so all draw as ``sample`` does.
     """
     _check_circuit(c)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
     q = c.num_qubits
-    u_meas = _measure_stream(seed, shots)
-    if nm.p1 == 0.0 and nm.p2 == 0.0:
-        outcomes = _draw_outcomes(simulate(c).probabilities(), u_meas)
-    else:
-        outcomes = _trajectory_outcomes(c, nm, seed, u_meas)
+    outcomes = _trajectory_outcomes(c, nm, seed, _substream(seed, 1).random(shots))
 
     if nm.readout_flip > 0.0:
         ro_rng = _substream(seed, 4)
@@ -285,11 +283,15 @@ def _pauli_events(c: ParamCircuit, nm: NoiseModel, seed, shots: int):
 
     Flags come from substream 2 in chunks of whole shots, and one Pauli
     index per flag from substream 3 (of 3 single-qubit or 15 two-qubit
-    Paulis), in the order a shot-by-shot replay would draw them.
+    Paulis), in the order a shot-by-shot replay would draw them.  No flag
+    is drawn when no gate can err: substream 2 feeds nothing else.
     """
     n = len(c.gates)
-    p_gate = _error_probs(c, nm)
     two_qubit = np.array([g.kind == "CNOT" for g in c.gates], dtype=bool)
+    p_gate = np.where(two_qubit, nm.p2, nm.p1)
+    if not p_gate.any():
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none
     flag_rng = _substream(seed, 2)
     pauli_rng = _substream(seed, 3)
     chunk = max(1, (1 << 20) // max(1, n))
@@ -339,14 +341,14 @@ def _trajectory_outcomes(
         batch = _replay(
             c, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
         )
-        cum = np.cumsum(np.abs(batch) ** 2, axis=0)
-        cum[-1] = 1.0
         shot = col_shot[lo:hi]
         if shot[-1] < 0:  # the error-free state draws for every clean shot
             clean = np.ones(shots, dtype=bool)
             clean[diverged] = False
-            outcomes[clean] = np.searchsorted(cum[:, -1], u_meas[clean], side="right")
-            cum, shot = cum[:, :-1], shot[:-1]
+            outcomes[clean] = _draw_outcomes(np.abs(batch[:, -1]) ** 2, u_meas[clean])
+            batch, shot = batch[:, :-1], shot[:-1]
+        cum = np.cumsum(np.abs(batch) ** 2, axis=0)
+        cum[-1] = 1.0
         # the count of entries <= u is searchsorted(cum, u, side="right")
         outcomes[shot] = (cum <= u_meas[shot]).sum(axis=0)
     return outcomes
@@ -364,10 +366,7 @@ def _replay(c: ParamCircuit, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarra
     for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
         injections.setdefault(i, {}).setdefault(k, []).append(r)
     start = int(first_gate[0])
-    state = np.zeros(1 << c.num_qubits, dtype=complex)
-    state[0] = 1.0
-    for g in c.gates[: start + 1]:
-        _apply_gate(state, g)
+    state = _evolve(c.gates[: start + 1], c.num_qubits)
     batch = np.repeat(state[:, None], len(first_gate), axis=1)
     for i in range(start, len(c.gates)):
         g = c.gates[i]

@@ -126,8 +126,6 @@ def decode(bits: str, g: Graph) -> DecodedTour:
     n = g.n
 
     def x(v: int, j: int) -> int:
-        if v == 1 or j == 1:
-            return 1 if (v == 1 and j == 1) else 0
         return int(bits[qubit_index(v, j, n) - 1])
 
     order = [1]

@@ -20,6 +20,7 @@ from .engine import (
     SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
+    check_shots,
     expectation,
     qaoa_state,
     sample,
@@ -103,24 +104,23 @@ def _nelder_mead(x0):
 def minimize(f, x0, cfg: OptimizerConfig) -> OptimizationResult:
     """Minimize f over real vectors, with random restarts.
 
-    Restart 0 starts at x0; further restarts draw uniform points from
-    [0, 2pi) using cfg.seed, so results are deterministic.  Raises
-    ValueError if f never returns a value below +inf.
+    Restart 0 starts at x0; restart r, as it begins, draws a uniform
+    start from [0, 2pi) with seed (cfg.seed, r), so results are
+    deterministic.  Raises ValueError if f never returns a value below +inf.
     """
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
     if d < 1:
         raise ValueError("need at least one parameter")
-    starts = [x0]
-    for r in range(1, cfg.restarts):
-        starts.append(TWO_PI * np.random.default_rng((cfg.seed, r)).random(d))
-
     per_restart = max(d + 2, cfg.max_evals // cfg.restarts)
     trace: list[tuple[int, float]] = []
     best_x, best_f, best_converged = None, np.inf, False
-    for start in starts:
+    for r in range(cfg.restarts):
         if len(trace) >= cfg.max_evals:
             break
+        start = x0
+        if r > 0:
+            start = TWO_PI * np.random.default_rng((cfg.seed, r)).random(d)
         search = _nelder_mead(start)
         x = next(search)
         improved = converged = False
@@ -209,6 +209,7 @@ def qaoa_solve(
     runs as for any other depth.
     """
     cfg = cfg or OptimizerConfig()
+    check_shots(shots)
     circuit = build_ansatz(m, p, mixer)
     mixer = circuit.mixer_kind
     h = DiagonalHamiltonian.from_ising(m)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hamqaoa import (
+    Gate,
     IsingModel,
     Param,
     bind,
@@ -58,6 +59,25 @@ def test_gate_count_formula(triangle_model, square_fixture_model):
 def test_empty_model_rejected():
     with pytest.raises(EmptyModel):
         build_ansatz(IsingModel(0, 0, {}, {}), 1)
+
+
+def test_negative_layer_count_rejected(triangle_model):
+    with pytest.raises(ValueError, match="layer count"):
+        build_ansatz(triangle_model, -1)
+
+
+@pytest.mark.parametrize(
+    "kind, targets, message",
+    [
+        ("CZ", (1, 2), "unknown gate kind"),
+        ("RX", (1, 2), "exactly one qubit"),
+        ("CNOT", (1,), "two distinct qubits"),
+        ("CNOT", (2, 2), "two distinct qubits"),
+    ],
+)
+def test_gate_rejects_bad_kind_or_arity(kind, targets, message):
+    with pytest.raises(ValueError, match=message):
+        Gate(kind, targets)
 
 
 def test_bind_full_substitution(triangle_model):

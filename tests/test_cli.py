@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import hamqaoa
 from hamqaoa import cli
 from hamqaoa.cli import main, parse_noise
 from hamqaoa.errors import MalformedInput
@@ -198,6 +203,17 @@ def test_spectrum_triangle(capsys, triangle_file):
     assert obj["gap"] > 0
 
 
+def test_spectrum_csv_lists_every_level(capsys, triangle_file, tmp_path):
+    csv = tmp_path / "spectrum.csv"
+    obj = run_json(capsys, "spectrum", "--graph", triangle_file, "--csv", str(csv))
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "energy,bitstring"
+    rows = [line.split(",") for line in lines[1:]]
+    expected = [(lvl["energy"], s) for lvl in obj["levels"] for s in lvl["states"]]
+    assert [(float(e), s) for e, s in rows] == expected
+    assert len(rows) == 16
+
+
 def test_spectrum_triangle_reference_normalization(capsys, triangle_file):
     obj = run_json(capsys, "spectrum", "--graph", triangle_file, "--rescale", "2")
     assert obj["ground_energy"] == -4
@@ -279,6 +295,57 @@ def test_parse_noise():
     assert parse_noise("p2=0.5").p1 == 0.0
     with pytest.raises(MalformedInput):
         parse_noise("p3=1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--noise", "p1=abc", "--graph", "{triangle}"], "bad noise value"),
+        (["spectrum"], "need --graph or --terms"),
+        (["spectrum", "--terms", "{not_json}"], "invalid JSON"),
+        (["solve", "--shots", "0", "--graph", "{triangle}"], "shots must be in"),
+    ],
+    ids=["noise-value", "no-model", "terms-not-json", "zero-shots"],
+)
+def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, argv, message):
+    not_json = tmp_path / "terms.json"
+    not_json.write_text("ZZ 1.0\n")
+    argv = [a.format(triangle=triangle_file, not_json=not_json) for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+def _module_cli(*argv, cwd):
+    """Run ``python -m hamqaoa.cli`` in a fresh interpreter on this source tree."""
+    env = dict(os.environ)
+    src = str(Path(hamqaoa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hamqaoa.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["spectrum", "--graph", "triangle.json"], 0),
+        (["spectrum", "--graph", "missing.json"], 2),
+        (["solve", "--graph", "triangle.json", "--p", "0", "--shots", "10000000000000"], 2),
+    ],
+    ids=["version", "spectrum", "missing-file", "shots-past-cap"],
+)
+def test_module_entry_point_exit_codes(triangle_file, argv, code):
+    proc = _module_cli(*argv, cwd=Path(triangle_file).parent)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if argv == ["--version"]:
+        assert proc.stdout.strip() == hamqaoa.__version__
+    elif proc.returncode == 0:
+        assert json.loads(proc.stdout)["ground_states"] == ["0110", "1001"]
 
 
 def test_compare_identical_mixers(capsys, triangle_file):

@@ -67,12 +67,37 @@ def test_simulate_matches_dense_oracle():
 def test_simulate_rejects_unbound(triangle_model):
     with pytest.raises(UnboundParameter):
         simulate(build_ansatz(triangle_model, 1))
+    with pytest.raises(UnboundParameter):
+        simulate_noisy(build_ansatz(triangle_model, 1), BENCH_NOISE, 10, seed=0)
 
 
 def test_simulate_qubit_cap():
     c = ParamCircuit(30, (Gate("H", (1,)),), 0)
     with pytest.raises(TooManyQubits):
         simulate(c)
+
+
+def test_qaoa_state_qubit_cap():
+    # refused before the 2^40 energy vector is built
+    h = DiagonalHamiltonian(40, ((1, 1.0),))
+    with pytest.raises(TooManyQubits):
+        qaoa_state(h, [0.1], [0.2])
+
+
+@pytest.mark.parametrize("shots", [0, 10**13])
+def test_shot_count_outside_the_cap_is_refused(shots, triangle_model):
+    c = bind(build_ansatz(triangle_model, 1), [0.3], [0.4])
+    with pytest.raises(ValueError, match="shots"):
+        sample(simulate(c), shots, seed=0)
+    with pytest.raises(ValueError, match="shots"):
+        simulate_noisy(c, BENCH_NOISE, shots, seed=0)
+
+
+def test_shot_cap_is_inclusive():
+    s = Statevector(np.array([0, 1], dtype=complex), 1)
+    assert sample(s, engine.SHOT_CAP, seed=0).counts == {"1": engine.SHOT_CAP}
+    with pytest.raises(ValueError, match="shots"):
+        sample(s, engine.SHOT_CAP + 1, seed=0)
 
 
 def test_qaoa_state_matches_gate_level(triangle_model, square_fixture_model):
@@ -145,6 +170,48 @@ def test_noiseless_trajectories_equal_sampling(triangle_model):
     d_plain = sample(simulate(c), 10000, seed=42)
     d_traj = simulate_noisy(c, NoiseModel(0, 0, 0), 10000, seed=42)
     assert d_plain.counts == d_traj.counts
+
+
+class _NoDraws:
+    """Stands in for a random substream that must not be drawn from."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from a gate-error substream ({name})")
+
+
+@pytest.mark.parametrize("shots", [1, 50, 3000])
+@pytest.mark.parametrize("seed", [17, (17, 3)])
+@pytest.mark.parametrize(
+    "case, nm",
+    [
+        ("triangle-p2-RX", NoiseModel()),
+        ("triangle-p3-RY", NoiseModel()),
+        ("square-p8-RX", NoiseModel()),
+        ("triangle-p2-RX", NoiseModel(readout_flip=0.05)),
+        ("square-p8-RX", NoiseModel(readout_flip=0.05)),
+        ("rx-row", NoiseModel(p2=0.3)),  # no CNOT, so no gate can err
+    ],
+    ids=["zero-tri-p2", "zero-tri-p3", "zero-square", "ro-tri", "ro-square", "p2-no-cnot"],
+)
+def test_clean_shots_draw_through_the_replay(
+    case, nm, seed, shots, triangle_model, square_fixture_model, monkeypatch
+):
+    # every shot is clean: the replay's error-free column draws them all,
+    # as sample() would, and no gate-error flag or Pauli is drawn
+    if case == "rx-row":
+        c = ParamCircuit(3, tuple(Gate("RX", (k,), 0.3 * k) for k in (1, 2, 3)), 0)
+    else:
+        name, p, mixer = case.split("-")
+        model = triangle_model if name == "triangle" else square_fixture_model
+        c = seeded_circuit(model, int(p[1:]), mixer, 5)
+    real = engine._substream
+    monkeypatch.setattr(
+        engine, "_substream", lambda s, tag: _NoDraws() if tag in (2, 3) else real(s, tag)
+    )
+    counts = list(simulate_noisy(c, nm, shots, seed).counts.items())
+    assert counts == list(per_shot_trajectories(c, nm, shots, seed).items())
+    if nm.readout_flip == 0.0:
+        assert counts == list(sample(simulate(c), shots, seed).counts.items())
 
 
 def test_fully_depolarized_single_qubit():

@@ -43,7 +43,10 @@ def test_parse_rejects_bad_endpoint():
         parse_graph('{"n":3,"edges":[[1,5]]}')
 
 
-@pytest.mark.parametrize("text", ["not json", "[1,2]", '{"n":3}', '{"n":3,"edges":[[1]]}'])
+@pytest.mark.parametrize(
+    "text",
+    ["not json", "[1,2]", '{"n":3}', '{"n":3,"edges":[[1]]}', '{"n":3,"edges":[[2,2]]}'],
+)
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedInput):
         parse_graph(text)
@@ -67,6 +70,12 @@ def test_qubit_index_values(v, j, n, expected):
 def test_qubit_index_rejects_fixed_variables(v, j):
     with pytest.raises(IndexOutOfRange):
         qubit_index(v, j, 4)
+
+
+@pytest.mark.parametrize("i", [0, 5, -1])
+def test_qubit_pair_rejects_out_of_range(i):
+    with pytest.raises(IndexOutOfRange):
+        qubit_pair(i, 3)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -96,6 +105,17 @@ def test_decode_all_zero_reports_position(triangle):
 def test_decode_length_mismatch(triangle):
     with pytest.raises(LengthMismatch):
         decode("000", triangle)
+
+
+def test_decode_rejects_non_binary(triangle):
+    with pytest.raises(MalformedInput, match="only '0' and '1'"):
+        decode("10a1", triangle)
+
+
+@pytest.mark.parametrize("order", [(2, 1, 3), (1, 2), (1, 2, 2), (1, 2, 4)])
+def test_encode_tour_rejects_bad_order(order, triangle):
+    with pytest.raises(MalformedInput, match="not a vertex order"):
+        encode_tour(order, triangle)
 
 
 def test_decode_edge_violation():

@@ -71,6 +71,29 @@ def test_restarts_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_evals=0)
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerConfig(restarts=0)
+
+
+def test_minimize_needs_a_parameter():
+    with pytest.raises(ValueError, match="at least one parameter"):
+        minimize(bowl, np.zeros(0), OptimizerConfig())
+
+
+def test_restart_starts_are_drawn_when_the_restart_begins(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        made.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    cfg = OptimizerConfig(max_evals=8, restarts=1000, seed=5)
+    r = minimize(bowl, np.zeros(2), cfg)
+    # d + 2 = 4 evaluations per restart: restart 0 and restart 1 ran
+    assert r.evals_used == 8
+    assert made == [(5, 1)]
 
 
 def nan_beyond_two(x):
@@ -163,6 +186,17 @@ def test_solves_unchanged_through_closure_oracle(
     monkeypatch.setattr(optimizer, "minimize", oracle)
     assert reports() == driven
     assert len(calls) == len(driven)
+
+
+@pytest.mark.parametrize("p, shots", [(8, 0), (0, 10**13)])
+def test_solve_checks_shots_before_any_work(p, shots, square_fixture_model, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the solve started before checking shots")
+
+    monkeypatch.setattr(optimizer, "minimize", must_not_run)
+    monkeypatch.setattr(optimizer, "qaoa_state", must_not_run)
+    with pytest.raises(ValueError, match="shots"):
+        qaoa_solve(square_fixture_model, p, shots=shots)
 
 
 def test_triangle_solve_finds_solutions(triangle_model):

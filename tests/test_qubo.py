@@ -101,6 +101,12 @@ def test_assemble_rejects_nonpositive_weight(triangle):
         assemble(triangle, weight=0)
 
 
+@pytest.mark.parametrize("rescale", [0, -2])
+def test_strip_constant_rejects_nonpositive_rescale(rescale, triangle):
+    with pytest.raises(NonPositiveWeight, match="rescale"):
+        strip_constant(to_ising(assemble(triangle), 3), rescale=rescale)
+
+
 def test_to_ising_triangle_matches_hand_expansion(triangle):
     m = to_ising(assemble(triangle), 3)
     assert m.constant == 2
