@@ -22,6 +22,8 @@ from .graph import Graph, qubit_index
 from .qubo import IsingModel
 
 SPECTRUM_QUBIT_CAP = 20
+# Most qubits whose full 2^q vector (energies, amplitudes) is ever built.
+SIMULATOR_QUBIT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,9 @@ class DiagonalHamiltonian:
     terms: tuple[tuple[int, float], ...]
     constant: float = 0.0
     _energies: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _shifted: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -75,6 +80,22 @@ class DiagonalHamiltonian:
             object.__setattr__(self, "_energies", out)
         return self._energies
 
+    def shifted_energies(self) -> np.ndarray:
+        """``energies() - constant``: the energies a cost layer's phase
+        uses, since the gate list drops the constant.  Computed on the
+        first call; every call returns that same read-only array."""
+        if self._shifted is None:
+            out = self.energies() - self.constant
+            out.flags.writeable = False
+            object.__setattr__(self, "_shifted", out)
+        return self._shifted
+
+
+def check_qubits(q: int) -> None:
+    """Refuse a register too large for its 2^q vectors to be built."""
+    if q > SIMULATOR_QUBIT_CAP:
+        raise TooManyQubits(f"{q} qubits exceeds simulator cap {SIMULATOR_QUBIT_CAP}")
+
 
 def _sign_table(masks: np.ndarray, bits: int) -> np.ndarray:
     """(-1)^parity(index & mask) for every mask and every bits-bit index."""
@@ -103,9 +124,13 @@ def _bit_strings(indices: np.ndarray, num_qubits: int) -> list[str]:
 
 
 def energy_of(h: DiagonalHamiltonian, bits: str) -> float:
-    """Eigenvalue of the basis state given by an assignment string."""
+    """Eigenvalue of the basis state given by an assignment string.
+
+    Reads the full energy vector, so it refuses registers past the
+    simulator's qubit cap before building it."""
     if len(bits) != h.num_qubits:
         raise LengthMismatch(f"expected {h.num_qubits} bits, got {len(bits)}")
+    check_qubits(h.num_qubits)
     return float(h.energies()[bits_to_index(bits)])
 
 

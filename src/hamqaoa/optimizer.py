@@ -4,7 +4,11 @@ The simplex method is self-contained (reflection / expansion /
 contraction / shrink with standard coefficients) and written as an
 ask/tell generator; ``minimize`` drives it through random restarts drawn
 from [0, 2pi).  Restarts share a global evaluation budget; the best
-restart wins, ties broken by lowest restart index.
+restart wins, ties broken by lowest restart index.  Restarts whose share
+of that budget is fixed may run in lockstep, one batch of points per
+call of the objective; ``qaoa_solve`` does so for the exact noiseless
+objective on registers where a batch of states is faster than one state
+at a time, and the result is the same as running them one by one.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import numpy as np
 from .circuit import bind, build_ansatz
 from .engine import (
     DEFAULT_SHOTS,
+    LOCKSTEP_AMPLITUDES,
     SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
@@ -72,13 +77,16 @@ def _nelder_mead(x0):
         values.append((yield x))
 
     while True:
-        order = np.argsort(values)
+        order = np.argsort(values).tolist()
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        spread = np.max(np.abs(np.array(simplex[1:]) - simplex[0]))
-        if spread < XTOL and values[-1] - values[0] < FTOL:
-            return
-        centroid = np.mean(simplex[:-1], axis=0)
+        # the value test first: it is cheaper and rarely passes
+        if values[-1] - values[0] < FTOL:
+            spread = np.max(np.abs(np.array(simplex[1:]) - simplex[0]))
+            if spread < XTOL:
+                return
+        # np.mean's sum and division, without its checks
+        centroid = np.add.reduce(np.array(simplex[:-1]), axis=0) / d
         reflected = centroid + alpha * (centroid - simplex[-1])
         fr = yield reflected
         if values[0] <= fr < values[-2]:
@@ -101,48 +109,95 @@ def _nelder_mead(x0):
                     values[i] = yield simplex[i]
 
 
-def minimize(f, x0, cfg: OptimizerConfig) -> OptimizationResult:
+class _Restart:
+    """One simplex run of ``minimize``: its next point, budget and values."""
+
+    def __init__(self, start, budget: int):
+        self.search = _nelder_mead(start)
+        self.x = next(self.search)
+        self.budget = budget
+        self.values: list[float] = []
+        self.best_x, self.best_f = None, np.inf
+        self.converged = self.done = False
+
+    def tell(self, v: float) -> None:
+        self.values.append(v)
+        if v < self.best_f:
+            self.best_x, self.best_f = np.array(self.x), v
+        try:
+            self.x = self.search.send(v)
+        except StopIteration:
+            self.converged = self.done = True
+            return
+        self.done = len(self.values) == self.budget
+
+
+def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
     """Minimize f over real vectors, with random restarts.
 
     Restart 0 starts at x0; restart r, as it begins, draws a uniform
     start from [0, 2pi) with seed (cfg.seed, r), so results are
     deterministic.  Raises ValueError if f never returns a value below +inf.
+
+    Each restart may spend ``max(d + 2, max_evals // restarts)``
+    evaluations, cut to what the budget has left.  With ``width`` > 1,
+    up to ``width`` restarts whose budget is that whole share run in
+    lockstep: f takes their next points as one (n, d) array and returns
+    n values, and the others wait for every earlier restart to end.  For
+    an f without side effects the result does not depend on ``width``;
+    at width 1, f takes one point at a time, in restart order.
     """
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
     if d < 1:
         raise ValueError("need at least one parameter")
+    if width < 1:
+        raise ValueError("width must be >= 1")
     per_restart = max(d + 2, cfg.max_evals // cfg.restarts)
-    trace: list[tuple[int, float]] = []
-    best_x, best_f, best_converged = None, np.inf, False
-    for r in range(cfg.restarts):
-        if len(trace) >= cfg.max_evals:
-            break
-        start = x0
-        if r > 0:
-            start = TWO_PI * np.random.default_rng((cfg.seed, r)).random(d)
-        search = _nelder_mead(start)
-        x = next(search)
-        improved = converged = False
-        for _ in range(min(per_restart, cfg.max_evals - len(trace))):
-            v = float(f(x))
-            trace.append((len(trace) + 1, v))
-            if v < best_f:
-                best_x, best_f, improved = np.array(x), v, True
-            try:
-                x = search.send(v)
-            except StopIteration:
-                converged = True
+    runs: list[_Restart] = []
+    running: list[_Restart] = []
+    used = 0
+    while True:
+        while len(runs) < cfg.restarts and len(running) < width:
+            r = len(runs)
+            if (r + 1) * per_restart <= cfg.max_evals:
+                budget = per_restart
+            elif running or used >= cfg.max_evals:
                 break
-        if improved:
-            best_converged = converged
+            else:
+                budget = min(per_restart, cfg.max_evals - used)
+            start = x0
+            if r > 0:
+                start = TWO_PI * np.random.default_rng((cfg.seed, r)).random(d)
+            runs.append(_Restart(start, budget))
+            running.append(runs[-1])
+        if not running:
+            break
+        if width == 1:
+            values = [f(running[0].x)]
+        else:
+            values = np.asarray(f(np.array([run.x for run in running])), dtype=float)
+            if values.shape != (len(running),):
+                raise ValueError(
+                    f"objective gave {values.shape} values for {len(running)} points"
+                )
+        for run, v in zip(running, values):
+            run.tell(float(v))
+        used += len(running)
+        running = [run for run in running if not run.done]
+
+    values = [v for run in runs for v in run.values]
+    best_x, best_f, best_converged = None, np.inf, False
+    for run in runs:
+        if run.best_f < best_f:
+            best_x, best_f, best_converged = run.best_x, run.best_f, run.converged
     if best_x is None:
         raise ValueError("the objective returned no finite value")
     return OptimizationResult(
         best_params=best_x,
         best_value=best_f,
-        trace=trace,
-        evals_used=len(trace),
+        trace=list(enumerate(values, start=1)),
+        evals_used=len(values),
         converged=best_converged,
     )
 
@@ -230,13 +285,20 @@ def qaoa_solve(
     def objective(params):
         if noisy or sampled_objective:
             return measure(params, (cfg.seed, next(eval_index))).mean_energy(h)
-        return expectation(qaoa_state(h, params[:p], params[p:], mixer), h)
+        return expectation(qaoa_state(h, params[..., :p], params[..., p:], mixer), h)
+
+    # The exact objective is pure, so restarts may share its calls, one row
+    # of angles each, as many as fit one lockstep batch; the sampled ones
+    # seed each call by its index, so they keep one call per point.
+    width = 1
+    if not (noisy or sampled_objective):
+        width = max(1, min(cfg.restarts, LOCKSTEP_AMPLITUDES >> h.num_qubits))
 
     if p == 0:
         params = np.zeros(0)
     else:
         x0 = TWO_PI * np.random.default_rng((cfg.seed, 0)).random(2 * p)
-        result = minimize(objective, x0, cfg)
+        result = minimize(objective, x0, cfg, width=width)
         params = result.best_params
 
     if noisy:

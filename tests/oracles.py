@@ -99,6 +99,24 @@ def general_apply_1q(states, mat, k):
     a1 += tmp
 
 
+def single_qaoa_state(h, gammas, betas, mixer="RX"):
+    """``engine.qaoa_state`` before it took batches of angle rows: one
+    state, evolved alone, with the energies shifted on every call; the
+    reference for every row of a batch."""
+    from hamqaoa.engine import Statevector, _apply_1q, _rotation
+
+    q = h.num_qubits
+    dim = 1 << q
+    energies = h.energies() - h.constant
+    state = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    for gamma, beta in zip(gammas, betas, strict=True):
+        state = state * np.exp(-1j * float(gamma) * energies)
+        mat = _rotation(mixer, 2.0 * float(beta))
+        for k in range(1, q + 1):
+            _apply_1q(state, mat, k)
+    return Statevector(state, q)
+
+
 def grouped_spectrum(h):
     """Spectrum of a DiagonalHamiltonian by walking its basis states one at
     a time in energy order, as a reference for ``full_spectrum``."""

@@ -27,6 +27,7 @@ from oracles import (
     general_apply_1q,
     per_shot_trajectories,
     random_circuit,
+    single_qaoa_state,
 )
 
 BENCH_NOISE = NoiseModel(0.001, 0.01, 0.01)
@@ -108,6 +109,97 @@ def test_qaoa_state_matches_gate_level(triangle_model, square_fixture_model):
         fast = qaoa_state(h, gammas, betas, mixer).amplitudes
         slow = simulate(bind(build_ansatz(m, p, mixer), gammas, betas)).amplitudes
         assert np.max(np.abs(fast - slow)) <= 1e-10
+
+
+def random_hamiltonian(rng, q):
+    terms = tuple((int(rng.integers(1 << q)), float(rng.normal())) for _ in range(2 * q + 1))
+    return DiagonalHamiltonian(q, terms, float(rng.normal()))
+
+
+@pytest.mark.parametrize("q", range(15))
+def test_batched_rows_match_the_single_state_oracle(q):
+    # B runs from 1 past the rows of one lockstep batch; from q = 11 a
+    # batch holds one row, so q = 13 and 14 (whose batches of 2 or 3 would
+    # cross numpy's 256 KiB temporary elision) evolve each row alone
+    rng = np.random.default_rng(q)
+    h = random_hamiltonian(rng, q)
+    per_batch = max(1, engine.LOCKSTEP_AMPLITUDES >> q)
+    for mixer in ("RX", "RY"):
+        for rows in sorted({1, 2, 3, 4, per_batch, per_batch + 1}):
+            gammas = rng.uniform(-7, 7, (rows, 3))
+            betas = rng.uniform(-7, 7, (rows, 3))
+            batch = qaoa_state(h, gammas, betas, mixer)
+            values = expectation(batch, h)
+            assert batch.amplitudes.shape == (rows, 1 << q)
+            assert values.shape == (rows,)
+            for r in range(rows):
+                single = single_qaoa_state(h, gammas[r], betas[r], mixer)
+                assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
+                assert repr(float(values[r])) == repr(expectation(single, h))
+
+
+def test_single_rows_match_the_single_state_oracle(square_fixture_model):
+    h = DiagonalHamiltonian.from_ising(square_fixture_model)
+    rng = np.random.default_rng(3)
+    for mixer in ("RX", "RY"):
+        gammas, betas = rng.uniform(-7, 7, 8), rng.uniform(-7, 7, 8)
+        single = single_qaoa_state(h, gammas, betas, mixer)
+        fast = qaoa_state(h, list(gammas), list(betas), mixer)
+        assert fast.amplitudes.tobytes() == single.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+def test_zero_beta_beside_nonzero_ones_matches_the_oracle(mixer, triangle_model):
+    # a zero beta takes the diagonal update and the others do not, so
+    # those rows cannot share one update
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    gammas = np.array([[0.0, 0.4], [0.3, 0.0], [0.7, 1.1]])
+    betas = np.array([[0.0, 0.5], [0.2, -0.0], [0.9, 0.6]])
+    batch = qaoa_state(h, gammas, betas, mixer)
+    for r in range(3):
+        single = single_qaoa_state(h, gammas[r], betas[r], mixer)
+        assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
+
+
+def test_qaoa_state_reads_the_cached_shifted_energies(triangle_model, monkeypatch):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    first = qaoa_state(h, [0.3], [0.4]).amplitudes.tobytes()
+
+    def must_not_run(self):
+        raise AssertionError("energies() read again")
+
+    monkeypatch.setattr(DiagonalHamiltonian, "energies", must_not_run)
+    assert qaoa_state(h, [0.3], [0.4]).amplitudes.tobytes() == first
+    assert qaoa_state(h, [[0.3], [0.3]], [[0.4], [0.4]]).amplitudes[1].tobytes() == first
+
+
+def test_lockstep_batches_stay_below_numpy_temporary_elision():
+    # numpy reuses temporaries of 256 KiB or more, swapping the operands
+    # of ``state * phase``; no lockstep batch may reach that size
+    assert engine.LOCKSTEP_AMPLITUDES * np.dtype(complex).itemsize < 256 * 1024
+
+
+def test_batched_angles_must_share_one_shape(triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    with pytest.raises(ValueError, match="must both be"):
+        qaoa_state(h, np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="must both be"):
+        qaoa_state(h, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
+
+
+def test_empty_and_zero_layer_batches(triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    assert qaoa_state(h, np.zeros((0, 2)), np.zeros((0, 2))).amplitudes.shape == (0, 16)
+    batch = qaoa_state(h, np.zeros((3, 0)), np.zeros((3, 0)))
+    single = qaoa_state(h, [], [])
+    assert all(row.tobytes() == single.amplitudes.tobytes() for row in batch.amplitudes)
+
+
+def test_sample_refuses_a_batch(triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    batch = qaoa_state(h, np.ones((2, 1)), np.ones((2, 1)))
+    with pytest.raises(DimensionMismatch, match="batch"):
+        sample(batch, 10, seed=0)
 
 
 def test_mixer_rotation_probability():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,30 @@ def test_energy_of_length_mismatch(triangle_model):
     h = DiagonalHamiltonian.from_ising(triangle_model)
     with pytest.raises(LengthMismatch):
         energy_of(h, "10")
+
+
+def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):
+    def must_not_run(self):
+        raise AssertionError("energies() ran before the qubit cap was checked")
+
+    monkeypatch.setattr(DiagonalHamiltonian, "energies", must_not_run)
+    h = DiagonalHamiltonian(40, ((1, 1.0),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyQubits, match="40 qubits"):
+            energy_of(h, "1" + "0" * 39)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_shifted_energies_are_cached_read_only_and_exact(square_fixture_model):
+    h = DiagonalHamiltonian.from_ising(square_fixture_model)
+    shifted = h.shifted_energies()
+    assert shifted is h.shifted_energies()
+    assert not shifted.flags.writeable
+    assert shifted.tobytes() == (h.energies() - h.constant).tobytes()
 
 
 def test_triangle_spectrum(triangle_model):

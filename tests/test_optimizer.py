@@ -12,7 +12,7 @@ from hamqaoa import (
     qaoa_solve,
     simulate_noisy,
 )
-from hamqaoa import optimizer
+from hamqaoa import engine, optimizer
 from oracles import closure_minimize
 
 
@@ -131,6 +131,73 @@ def test_driver_matches_closure_oracle(f, x0, max_evals, restarts):
     assert outcome(minimize(f, x0, cfg)) == outcome(closure_minimize(f, x0, cfg))
 
 
+def rows_of(f):
+    """f over a batch of points, one call per row; counts the batches."""
+
+    def batched(points):
+        batched.calls.append(len(points))
+        return [f(x) for x in points]
+
+    batched.calls = []
+    return batched
+
+
+LOCKSTEP_CASES = [
+    ("floor-cut", bowl, np.full(4, 5.0), 13, 3),
+    ("floor-skip", bowl, np.full(4, 5.0), 7, 4),
+    ("not-divisible", rosenbrock, np.array([2.0, -1.0]), 800, 3),
+    ("constant", lambda x: 7.5, np.zeros(3), 1000, 2),
+    ("nan", nan_beyond_two, np.full(3, 1.5), 600, 2),
+    ("many-restarts", bowl, np.full(2, 0.5), 400, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "f, x0, max_evals, restarts",
+    [case[1:] for case in LOCKSTEP_CASES],
+    ids=[case[0] for case in LOCKSTEP_CASES],
+)
+def test_lockstep_matches_sequential(f, x0, max_evals, restarts):
+    cfg = OptimizerConfig(max_evals=max_evals, restarts=restarts, seed=4)
+    batched = rows_of(f)
+    lockstep = minimize(batched, x0, cfg, width=3)
+    assert outcome(lockstep) == outcome(minimize(f, x0, cfg, width=1))
+    assert outcome(lockstep) == outcome(closure_minimize(f, x0, cfg))
+    assert max(batched.calls) <= 3
+    assert sum(batched.calls) == lockstep.evals_used
+
+
+def test_lockstep_convergence_on_the_last_evaluation_of_the_budget():
+    x0 = np.array([0.3, -0.2])
+    free = minimize(bowl, x0, OptimizerConfig(max_evals=100_000, restarts=1))
+    for max_evals, converged in [(free.evals_used, True), (free.evals_used - 1, False)]:
+        # three restarts; the first, the free run cut at max_evals, wins
+        cfg = OptimizerConfig(max_evals=3 * max_evals, restarts=3)
+        lockstep = minimize(rows_of(bowl), x0, cfg, width=3)
+        assert lockstep.converged is converged
+        assert lockstep.trace[:max_evals] == free.trace[:max_evals]
+        assert outcome(lockstep) == outcome(minimize(bowl, x0, cfg))
+
+
+def test_restarts_with_a_budget_left_over_wait_for_the_earlier_ones():
+    # per restart max(4, 10 // 3) = 4: restarts 0 and 1 have a fixed
+    # budget and run together; restart 2 gets the 2 evaluations left
+    batched = rows_of(bowl)
+    cfg = OptimizerConfig(max_evals=10, restarts=3, seed=1)
+    r = minimize(batched, np.zeros(2), cfg, width=3)
+    assert batched.calls == [2, 2, 2, 2, 1, 1]
+    assert outcome(r) == outcome(closure_minimize(bowl, np.zeros(2), cfg))
+
+
+def test_lockstep_width_and_objective_shape_are_checked():
+    cfg = OptimizerConfig(max_evals=30, restarts=2)
+    with pytest.raises(ValueError, match="width"):
+        minimize(bowl, np.zeros(2), cfg, width=0)
+    # an objective that sums the whole batch gives one value for two points
+    with pytest.raises(ValueError, match="values for 2 points"):
+        minimize(bowl, np.zeros(2), cfg, width=2)
+
+
 def test_nan_case_reaches_nan_and_finite_points():
     cfg = OptimizerConfig(max_evals=600, restarts=2, seed=4)
     r = minimize(nan_beyond_two, np.full(3, 1.5), cfg)
@@ -179,13 +246,61 @@ def test_solves_unchanged_through_closure_oracle(
     driven = reports()
     calls = []
 
-    def oracle(f, x0, cfg):
+    # the oracle runs restarts one by one, so the exact objective's
+    # lockstep solves must match sequential ones
+    def oracle(f, x0, cfg, width=1):
         calls.append(cfg)
         return closure_minimize(f, x0, cfg)
 
     monkeypatch.setattr(optimizer, "minimize", oracle)
     assert reports() == driven
     assert len(calls) == len(driven)
+
+
+def test_exact_solves_batch_restarts_and_others_do_not(
+    triangle_model, square_fixture_model, monkeypatch
+):
+    widths = []
+    real = optimizer.minimize
+
+    def recording(f, x0, cfg, width=1):
+        widths.append(width)
+        return real(f, x0, cfg, width=width)
+
+    monkeypatch.setattr(optimizer, "minimize", recording)
+    small = OptimizerConfig(max_evals=30)
+    qaoa_solve(triangle_model, 2, cfg=small)
+    qaoa_solve(square_fixture_model, 2, cfg=small)
+    qaoa_solve(triangle_model, 2, cfg=OptimizerConfig(max_evals=30, restarts=9))
+    qaoa_solve(triangle_model, 2, cfg=small, shots=50, sampled_objective=True)
+    qaoa_solve(triangle_model, 1, cfg=small, shots=50, nm=NoiseModel(0.01, 0.01, 0.0))
+    # 16 qubits: one state exceeds a lockstep batch
+    pentagon = DiagonalHamiltonian(16, ((3, 1.0),))
+    assert engine.LOCKSTEP_AMPLITUDES >> pentagon.num_qubits == 0
+    assert widths == [3, 3, 9, 1, 1]
+
+
+def test_wrapped_minimize_sees_one_objective_call_per_lockstep_round(
+    square_fixture_model, monkeypatch
+):
+    # wrapped as perfbench/spans.py wraps it: a one-argument objective and
+    # every other argument passed through
+    calls = []
+    real = optimizer.minimize
+
+    def minimize_wrapper(f, *args, **kwargs):
+        def gap_then_f(x):
+            calls.append(np.shape(x))
+            return f(x)
+
+        return real(gap_then_f, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "minimize", minimize_wrapper)
+    rep = qaoa_solve(square_fixture_model, 8, "RX", cfg=OptimizerConfig(seed=0))
+    # three restarts of 1333 evaluations each, never converged: 1333 rounds
+    assert rep.optimization.evals_used == 3999
+    assert len(calls) == 1333
+    assert set(calls) == {(3, 16)}
 
 
 @pytest.mark.parametrize("p, shots", [(8, 0), (0, 10**13)])
