@@ -21,12 +21,12 @@ import numpy as np
 from .circuit import bind, build_ansatz
 from .engine import (
     DEFAULT_SHOTS,
-    LOCKSTEP_AMPLITUDES,
     SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
     check_shots,
     expectation,
+    lockstep_rows,
     qaoa_state,
     sample,
     simulate_noisy,
@@ -292,7 +292,7 @@ def qaoa_solve(
     # seed each call by its index, so they keep one call per point.
     width = 1
     if not (noisy or sampled_objective):
-        width = max(1, min(cfg.restarts, LOCKSTEP_AMPLITUDES >> h.num_qubits))
+        width = min(cfg.restarts, lockstep_rows(h.num_qubits))
 
     if p == 0:
         params = np.zeros(0)

@@ -123,7 +123,7 @@ def test_batched_rows_match_the_single_state_oracle(q):
     # cross numpy's 256 KiB temporary elision) evolve each row alone
     rng = np.random.default_rng(q)
     h = random_hamiltonian(rng, q)
-    per_batch = max(1, engine.LOCKSTEP_AMPLITUDES >> q)
+    per_batch = engine.lockstep_rows(q)
     for mixer in ("RX", "RY"):
         for rows in sorted({1, 2, 3, 4, per_batch, per_batch + 1}):
             gammas = rng.uniform(-7, 7, (rows, 3))

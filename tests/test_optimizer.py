@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hamqaoa import (
     DiagonalHamiltonian,
+    IsingModel,
     NoiseModel,
     OptimizerConfig,
     bind,
@@ -274,10 +277,13 @@ def test_exact_solves_batch_restarts_and_others_do_not(
     qaoa_solve(triangle_model, 2, cfg=OptimizerConfig(max_evals=30, restarts=9))
     qaoa_solve(triangle_model, 2, cfg=small, shots=50, sampled_objective=True)
     qaoa_solve(triangle_model, 1, cfg=small, shots=50, nm=NoiseModel(0.01, 0.01, 0.0))
-    # 16 qubits: one state exceeds a lockstep batch
-    pentagon = DiagonalHamiltonian(16, ((3, 1.0),))
-    assert engine.LOCKSTEP_AMPLITUDES >> pentagon.num_qubits == 0
-    assert widths == [3, 3, 9, 1, 1]
+    # rings at the edge of the lockstep budget: three 2^9 states fit one
+    # batch, two 2^10 states do not
+    for q in (9, 10):
+        ring = {(k, k + 1): Fraction(1) for k in range(1, q)} | {(1, q): Fraction(1)}
+        qaoa_solve(IsingModel(q, Fraction(0), {}, ring), 1, cfg=OptimizerConfig(max_evals=6))
+    assert engine.lockstep_rows(9) == 3 and engine.lockstep_rows(10) == 1
+    assert widths == [3, 3, 9, 1, 1, 3, 1]
 
 
 def test_wrapped_minimize_sees_one_objective_call_per_lockstep_round(
