@@ -15,10 +15,10 @@ state as ``sample`` does; the others are replayed in batches of at most
 operation per gate serves a whole batch.  Each replayed state sees the
 arithmetic of a replay of its own, so counts do not depend on batching.
 
-``qaoa_state`` also takes a batch of angle rows and evolves small
-registers' states together, as the columns of one array, so that one
-numpy operation per gate serves every row; each row keeps the bytes of a
-state evolved alone.
+``qaoa_state`` evolves one row of angles or a batch of rows through one
+routine, up to ``lockstep_rows(q)`` states at a time as the columns of
+one array, so that one numpy operation per gate serves them all; each
+state keeps the bytes it would have evolved alone.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -254,74 +254,71 @@ def qaoa_state(
     ansatz exactly (the constant term is excluded, as the gate list also
     drops it).
 
-    With 2-D ``gammas`` and ``betas`` of shape (B, p), one row of angles
-    per state, the B states come back as the rows of (B, 2^q) amplitudes,
-    each byte-identical to a call on its row alone.  Rows are evolved
-    together, as the columns of one array, in batches of at most
-    ``LOCKSTEP_AMPLITUDES`` amplitudes (``lockstep_rows(q)`` rows); on
-    larger registers each row is evolved alone.
+    ``gammas`` and ``betas`` of shape (p,) give one state; of shape (B, p),
+    one state per row of angles, returned as the rows of (B, 2^q)
+    amplitudes, each byte-identical to a call on its row alone.  Either
+    way the rows go through one routine, which evolves up to
+    ``lockstep_rows(q)`` of them at a time as the columns of one array.
     """
     mixer = check_mixer(mixer)
     q = h.num_qubits
     check_qubits(q)
-    energies = h.shifted_energies()
-    if np.ndim(gammas) < 2:
-        return Statevector(_evolve_qaoa(energies, gammas, betas, mixer, q), q)
     gammas, betas = np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)
-    if gammas.ndim != 2 or gammas.shape != betas.shape:
+    if gammas.shape != betas.shape or gammas.ndim not in (1, 2):
         raise ValueError(
-            f"batched gammas {gammas.shape} and betas {betas.shape} must both be (B, p)"
+            f"gammas {gammas.shape} and betas {betas.shape} must both be (p,) or (B, p)"
         )
+    energies = h.shifted_energies()
+    if gammas.ndim == 1:
+        state = _evolve_lockstep(energies, gammas[None], betas[None], mixer, q)
+        return Statevector(state[:, 0], q)
     out = np.empty((len(gammas), 1 << q), dtype=complex)
     per_batch = lockstep_rows(q)
     for lo in range(0, len(out), per_batch):
         rows = slice(lo, lo + per_batch)
-        _evolve_lockstep(out[rows], energies, gammas[rows], betas[rows], mixer, q)
+        out[rows] = _evolve_lockstep(energies, gammas[rows], betas[rows], mixer, q).T
     return Statevector(out, q)
 
 
-def _evolve_qaoa(energies: np.ndarray, gammas, betas, mixer: str, q: int) -> np.ndarray:
-    """One QAOA state: a phase per cost layer, a rotation per qubit per mixer layer."""
-    dim = 1 << q
-    state = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    for gamma, beta in zip(gammas, betas, strict=True):
-        state = state * np.exp(-1j * float(gamma) * energies)
-        mat = _rotation(mixer, 2.0 * float(beta))
-        for k in range(1, q + 1):
-            _apply_1q(state, mat, k)
-    return state
+def _evolve_lockstep(energies, gammas, betas, mixer: str, q: int) -> np.ndarray:
+    """The states of the (B, p) angle rows as the columns of one C-ordered
+    (2^q, B) array, each with the bytes of a state evolved alone.
 
-
-def _evolve_lockstep(out, energies, gammas, betas, mixer: str, q: int) -> None:
-    """The states of the angle rows, written to out's rows, evolved as the
-    columns of one (2^q, B) array.
-
-    Each column takes the operations of ``_evolve_qaoa`` with the same
-    operands in the same order, so it gets that function's bytes.  A
-    single row, or a mixer layer whose rotations need different kinds of
-    update (a zero beta beside nonzero ones), is evolved row by row.
+    A lone column is phased by the flat product ``state * np.exp(...)``,
+    whose temporary numpy reuses from 256 KiB on, swapping the operands
+    as it does for a state evolved alone; a batch stays below that size.
+    A mixer layer updates its columns together when they all take one
+    kind of update, and otherwise (a lone column, or a zero beta beside
+    nonzero ones) each column alone with its own 2x2 matrix.
     """
-    p, rows = betas.shape[1], len(out)
-    layers = [[_rotation_rows(mixer, 2.0 * b) for b in layer] for layer in betas.T.tolist()]
-    if rows == 1 or any(len({_kind(*r0, *r1) for r0, r1 in mats}) > 1 for mats in layers):
-        for row, row_gammas, row_betas in zip(out, gammas, betas):
-            row[...] = _evolve_qaoa(energies, row_gammas, row_betas, mixer, q)
-        return
-    # per layer, a phase factor per column and each column's matrix
-    # repeated along the longest half pair, 2^(q-1) rows.  Broadcasting
-    # (B,) entries instead gives the same bytes but ran 7-34% slower at
-    # q = 4..9 (3 rows, p = 2..8): its inner loops are only B long.
-    dim = 1 << q
+    dim, (rows, p) = 1 << q, gammas.shape
     scales = np.array([-1j * g for layer in gammas.T.tolist() for g in layer])
-    entries = np.array([v for mats in layers for m in mats for r in m for v in r])
-    entries = entries.reshape(p, rows, 2, 2).transpose(0, 2, 3, 1)[:, :, :, None, :]
-    runs = np.repeat(entries, dim // 2, axis=3)
+    layers = [[_rotation_rows(mixer, 2.0 * b) for b in layer] for layer in betas.T.tolist()]
+    if rows > 1:
+        # per layer, each column's matrix repeated along the longest half
+        # pair, 2^(q-1) rows.  Broadcasting (B,) entries instead gives the
+        # same bytes but ran 7-34% slower at q = 4..9 (3 rows, p = 2..8):
+        # its inner loops are only B long.
+        entries = np.array([v for mats in layers for m in mats for r in m for v in r])
+        entries = entries.reshape(p, rows, 2, 2).transpose(0, 2, 3, 1)[:, :, :, None, :]
+        runs = np.repeat(entries, dim // 2, axis=3)
     state = np.full((dim, rows), 1.0 / math.sqrt(dim), dtype=complex)
-    for scale, run in zip(scales.reshape(p, rows, 1), runs):
-        state = state * np.exp(scale * energies).T
-        for k in range(1, q + 1):
-            _apply_1q(state, run[:, :, : 1 << (k - 1)], k)
-    out[...] = state.T
+    for layer, (scale, mats) in enumerate(zip(scales.reshape(p, rows, 1), layers)):
+        if rows == 1:
+            state = (state[:, 0] * np.exp(scale[0, 0] * energies))[:, None]
+        else:
+            state = state * np.exp(scale * energies).T
+        if rows > 1 and len({_kind(*r0, *r1) for r0, r1 in mats}) == 1:
+            for k in range(1, q + 1):
+                _apply_1q(state, runs[layer, :, :, : 1 << (k - 1)], k)
+            continue
+        for c, mat in enumerate(mats):
+            # gathered contiguous, to take the loops a state evolved alone takes
+            col, mat = np.ascontiguousarray(state[:, c]), np.array(mat)
+            for k in range(1, q + 1):
+                _apply_1q(col, mat, k)
+            state[:, c] = col
+    return state
 
 
 def expectation(s: Statevector, h: DiagonalHamiltonian):

@@ -155,10 +155,14 @@ def test_zero_beta_beside_nonzero_ones_matches_the_oracle(mixer, triangle_model)
     h = DiagonalHamiltonian.from_ising(triangle_model)
     gammas = np.array([[0.0, 0.4], [0.3, 0.0], [0.7, 1.1]])
     betas = np.array([[0.0, 0.5], [0.2, -0.0], [0.9, 0.6]])
-    batch = qaoa_state(h, gammas, betas, mixer)
-    for r in range(3):
-        single = single_qaoa_state(h, gammas[r], betas[r], mixer)
-        assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
+    # in four rows, only the middle one of three layers mixes kinds
+    gammas4 = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]])
+    betas4 = np.array([[0.3, 0.0, 0.2], [0.4, 0.7, 0.9], [-0.2, 0.0, 1.3], [0.8, 0.5, -0.6]])
+    for gammas, betas in [(gammas, betas), (gammas4, betas4)]:
+        batch = qaoa_state(h, gammas, betas, mixer)
+        for r in range(len(gammas)):
+            single = single_qaoa_state(h, gammas[r], betas[r], mixer)
+            assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
 
 
 def test_qaoa_state_reads_the_cached_shifted_energies(triangle_model, monkeypatch):
@@ -185,6 +189,8 @@ def test_batched_angles_must_share_one_shape(triangle_model):
         qaoa_state(h, np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="must both be"):
         qaoa_state(h, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
+    with pytest.raises(ValueError, match=r"\(2,\) and betas \(1,\) must both be"):
+        qaoa_state(h, [0.1, 0.2], [0.3])
 
 
 def test_empty_and_zero_layer_batches(triangle_model):
