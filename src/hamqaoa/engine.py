@@ -59,6 +59,11 @@ _BATCH_AMPLITUDES = 1 << 16
 LOCKSTEP_AMPLITUDES = 3 << 9
 
 
+# Entries per dot product in ``expectation``: OpenBLAS splits longer ones
+# (past 10,000 entries) across threads, which reorders their sums.
+_DOT_CHUNK = 1 << 13
+
+
 def lockstep_rows(q: int) -> int:
     """Angle rows that ``qaoa_state`` evolves together on q qubits: as
     many states as fit ``LOCKSTEP_AMPLITUDES``, and at least one."""
@@ -244,9 +249,7 @@ def simulate(c: ParamCircuit) -> Statevector:
     return Statevector(_evolve(c.gates, c.num_qubits), c.num_qubits)
 
 
-def qaoa_state(
-    h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX"
-) -> Statevector:
+def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
     """Fast QAOA evolution using the diagonality of the cost Hamiltonian.
 
     Each cost layer is a single elementwise phase; mixer layers apply one
@@ -255,10 +258,9 @@ def qaoa_state(
     drops it).
 
     ``gammas`` and ``betas`` of shape (p,) give one state; of shape (B, p),
-    one state per row of angles, returned as the rows of (B, 2^q)
-    amplitudes, each byte-identical to a call on its row alone.  Either
-    way the rows go through one routine, which evolves up to
-    ``lockstep_rows(q)`` of them at a time as the columns of one array.
+    one state per row, returned as the rows of (B, 2^q) amplitudes, each
+    byte-identical to a call on its row alone.  All rows go through one
+    routine, ``lockstep_rows(q)`` at a time as the columns of one array.
     """
     mixer = check_mixer(mixer)
     q = h.num_qubits
@@ -292,18 +294,17 @@ def _evolve_lockstep(energies, gammas, betas, mixer: str, q: int) -> np.ndarray:
     nonzero ones) each column alone with its own 2x2 matrix.
     """
     dim, (rows, p) = 1 << q, gammas.shape
-    scales = np.array([-1j * g for layer in gammas.T.tolist() for g in layer])
+    scales = (-1j * gammas).T[:, :, None]
     layers = [[_rotation_rows(mixer, 2.0 * b) for b in layer] for layer in betas.T.tolist()]
     if rows > 1:
-        # per layer, each column's matrix repeated along the longest half
-        # pair, 2^(q-1) rows.  Broadcasting (B,) entries instead gives the
-        # same bytes but ran 7-34% slower at q = 4..9 (3 rows, p = 2..8):
-        # its inner loops are only B long.
+        # each column's matrix repeated along the longest half pair, 2^(q-1)
+        # rows.  Broadcasting (B,) entries gives the same bytes but ran 7-34%
+        # slower at q = 4..9 (3 rows, p = 2..8): its inner loops are B long.
         entries = np.array([v for mats in layers for m in mats for r in m for v in r])
         entries = entries.reshape(p, rows, 2, 2).transpose(0, 2, 3, 1)[:, :, :, None, :]
         runs = np.repeat(entries, dim // 2, axis=3)
     state = np.full((dim, rows), 1.0 / math.sqrt(dim), dtype=complex)
-    for layer, (scale, mats) in enumerate(zip(scales.reshape(p, rows, 1), layers)):
+    for layer, (scale, mats) in enumerate(zip(scales, layers)):
         if rows == 1:
             state = (state[:, 0] * np.exp(scale[0, 0] * energies))[:, None]
         else:
@@ -323,16 +324,17 @@ def _evolve_lockstep(energies, gammas, betas, mixer: str, q: int) -> np.ndarray:
 
 def expectation(s: Statevector, h: DiagonalHamiltonian):
     """<psi| H |psi> for a diagonal H; for a batch of states (amplitudes
-    of shape (B, 2^q)), an array of one value per row."""
+    of shape (B, 2^q)), an array of one value per row.  Dot products of
+    ``_DOT_CHUNK`` entries, added in order, keep it free of BLAS threads."""
     if h.num_qubits != s.num_qubits:
-        raise DimensionMismatch(
-            f"state has {s.num_qubits} qubits, operator {h.num_qubits}"
-        )
-    probs = s.probabilities()
-    if probs.ndim == 2:
-        energies = h.energies()
-        return np.array([np.dot(row, energies) for row in probs])
-    return float(np.dot(probs, h.energies()))
+        raise DimensionMismatch(f"state has {s.num_qubits} qubits, operator {h.num_qubits}")
+    probs, energies = s.probabilities(), h.energies()
+    chunks = [slice(lo, lo + _DOT_CHUNK) for lo in range(0, len(energies), _DOT_CHUNK)]
+    values = []
+    for row in probs.reshape(-1, len(energies)):
+        dots = [np.dot(row[c], energies[c]) for c in chunks]
+        values.append(float(sum(dots[1:], dots[0])))
+    return np.array(values) if probs.ndim == 2 else values[0]
 
 
 def _substream(seed, tag: int) -> np.random.Generator:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamqaoa
 from hamqaoa import (
     DiagonalHamiltonian,
     NoiseModel,
@@ -233,6 +238,34 @@ def test_expectation_examples(triangle_model):
     assert expectation(uniform, doubled) == pytest.approx(
         2 * expectation(uniform, h), abs=1e-12
     )
+
+
+# 16 qubits: OpenBLAS splits a dot product of more than 10,000 entries
+# across threads, which reorders its sum
+_EXPECTATION_AT_16_QUBITS = """
+import numpy as np
+from hamqaoa import DiagonalHamiltonian, Statevector, expectation
+rng = np.random.default_rng(0)
+masks, coeffs = rng.integers(1, 1 << 16, 33).tolist(), rng.normal(size=33).tolist()
+h = DiagonalHamiltonian(16, tuple(zip(masks, coeffs)), 0.5)
+amps = rng.normal(size=(2, 1 << 16)) + 1j * rng.normal(size=(2, 1 << 16))
+amps /= np.sqrt((np.abs(amps) ** 2).sum(axis=1, keepdims=True))
+print(repr(expectation(Statevector(amps[0], 16), h)))
+print(repr(expectation(Statevector(amps, 16), h).tolist()))
+"""
+
+
+def test_expectation_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(hamqaoa.__file__).parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _EXPECTATION_AT_16_QUBITS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_expectation_dimension_mismatch(triangle_model):
