@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap
+from numbers import Integral
 
-from .errors import NonPositiveWeight, UnmappedVariable
+from .errors import MalformedInput, NonPositiveWeight, UnmappedVariable
 from .graph import Graph, non_edges, qubit_index
 
 Var = tuple[int, int]  # (v, j) with v, j in 2..n
@@ -253,6 +254,8 @@ def from_term_list(terms, num_qubits: int | None = None, constant=0) -> IsingMod
         if not terms:
             raise UnmappedVariable("cannot infer qubit count from an empty list")
         num_qubits = len(terms[0][0])
+    elif isinstance(num_qubits, bool) or not isinstance(num_qubits, Integral) or num_qubits < 0:
+        raise MalformedInput(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
     linear: dict[int, Fraction] = {}
     quadratic: dict[tuple[int, int], Fraction] = {}
     const = Fraction(constant)

@@ -235,6 +235,17 @@ def test_spectrum_empty_terms(capsys, tmp_path):
     assert obj["levels"][0]["energy"] == 1.5
 
 
+@pytest.mark.parametrize("command", ["spectrum", "solve"])
+@pytest.mark.parametrize("num_qubits", [2.5, "3", True, -1])
+def test_term_file_num_qubits_must_be_a_non_negative_integer(
+    command, num_qubits, capsys, tmp_path
+):
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps({"num_qubits": num_qubits, "terms": []}))
+    assert main([command, "--terms", str(path)]) == 2
+    assert "num_qubits must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_spectrum_resource_cap(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"terms": [{"pauli": "Z" + "I" * 24, "coeff": 1}]}))

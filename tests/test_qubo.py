@@ -20,7 +20,7 @@ from hamqaoa import (
     to_term_list,
     vertex_uniqueness,
 )
-from hamqaoa.errors import NonPositiveWeight, UnmappedVariable
+from hamqaoa.errors import MalformedInput, NonPositiveWeight, UnmappedVariable
 from hamqaoa.hamiltonian import index_to_bits
 from oracles import rewrapping_compile
 
@@ -215,6 +215,13 @@ def test_from_term_list_infers_width():
     assert m.num_qubits == 2
     assert m.linear == {2: -2}
     assert m.quadratic == {(1, 2): 1}
+
+
+@pytest.mark.parametrize("num_qubits", [2.5, "3", True, -1])
+def test_from_term_list_refuses_a_bad_width(num_qubits):
+    with pytest.raises(MalformedInput, match="non-negative integer"):
+        from_term_list([], num_qubits=num_qubits)
+    assert from_term_list([("IZ", 1)], num_qubits=2).num_qubits == 2
 
 
 def _graphs_for_compiler_oracle():
