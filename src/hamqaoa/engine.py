@@ -286,12 +286,10 @@ def _evolve_lockstep(energies, gammas, betas, mixer: str, q: int) -> np.ndarray:
     """The states of the (B, p) angle rows as the columns of one C-ordered
     (2^q, B) array, each with the bytes of a state evolved alone.
 
-    A lone column is phased by the flat product ``state * np.exp(...)``,
-    whose temporary numpy reuses from 256 KiB on, swapping the operands
-    as it does for a state evolved alone; a batch stays below that size.
-    A mixer layer updates its columns together when they all take one
-    kind of update, and otherwise (a lone column, or a zero beta beside
-    nonzero ones) each column alone with its own 2x2 matrix.
+    A lone column takes the flat phase ``state * np.exp(...)``, whose
+    temporary numpy reuses from 256 KiB on, swapping the operands as for a
+    state evolved alone.  A mixer layer updates its columns together when
+    they take one kind of update, else each alone with its own 2x2 matrix.
     """
     dim, (rows, p) = 1 << q, gammas.shape
     scales = (-1j * gammas).T[:, :, None]
@@ -329,11 +327,12 @@ def expectation(s: Statevector, h: DiagonalHamiltonian):
     if h.num_qubits != s.num_qubits:
         raise DimensionMismatch(f"state has {s.num_qubits} qubits, operator {h.num_qubits}")
     probs, energies = s.probabilities(), h.energies()
-    chunks = [slice(lo, lo + _DOT_CHUNK) for lo in range(0, len(energies), _DOT_CHUNK)]
     values = []
     for row in probs.reshape(-1, len(energies)):
-        dots = [np.dot(row[c], energies[c]) for c in chunks]
-        values.append(float(sum(dots[1:], dots[0])))
+        value = np.dot(row[:_DOT_CHUNK], energies[:_DOT_CHUNK])
+        for lo in range(_DOT_CHUNK, len(energies), _DOT_CHUNK):
+            value += np.dot(row[lo : lo + _DOT_CHUNK], energies[lo : lo + _DOT_CHUNK])
+        values.append(float(value))
     return np.array(values) if probs.ndim == 2 else values[0]
 
 
