@@ -221,7 +221,6 @@ def test_from_term_list_infers_width():
 def test_from_term_list_refuses_a_bad_width(num_qubits):
     with pytest.raises(MalformedInput, match="non-negative integer"):
         from_term_list([], num_qubits=num_qubits)
-    assert from_term_list([("IZ", 1)], num_qubits=2).num_qubits == 2
 
 
 def _graphs_for_compiler_oracle():
