@@ -18,7 +18,9 @@ arithmetic of a replay of its own, so counts do not depend on batching.
 ``qaoa_state`` evolves one row of angles or a batch of rows through one
 routine, up to ``lockstep_rows(q)`` states at a time as the columns of
 one array, so that one numpy operation per gate serves them all; each
-state keeps the bytes it would have evolved alone.
+state keeps the bytes it would have evolved alone.  A batch takes its
+cost phase once per distinct energy level and gathers it; a lone column
+(every state from q = 10) keeps the phase over all 2^q energies for now.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -154,7 +156,7 @@ def _kind(m00, m01, m10, m11) -> int:
     return _GENERAL
 
 
-def _apply_1q(states: np.ndarray, mat: np.ndarray, k: int) -> None:
+def _apply_1q(states: np.ndarray, mat: np.ndarray, k: int, kind: int | None = None) -> None:
     """Apply a 2x2 matrix to qubit k (index bit k-1), in place.
 
     ``states`` is C-contiguous of shape (2^q,) or (2^q, B), one state per
@@ -167,21 +169,19 @@ def _apply_1q(states: np.ndarray, mat: np.ndarray, k: int) -> None:
     a diagonal matrix (RZ, Z) skips its zero products, which could only
     add signed zeros; any other matrix updates the two halves in turn.
 
-    A column batch may instead take one matrix per column, as ``mat`` of
-    shape (2, 2, 2^(k-1), B): each column's entries repeated along the
-    2^(k-1) rows of a half pair, so that every operation runs over whole
-    rows at once.  Each column gets the update column 0's matrix selects,
-    so the columns' matrices must all select the same.
+    A column batch may instead take one matrix per column, given with the
+    ``kind`` of update all of them select: ``mat`` of shape (4, 2^(k-1) B)
+    holds rows m00, m01, m10 and m11, each column's entry repeated along
+    the 2^(k-1) rows of a half pair, so that every operation runs over
+    whole rows at once.
     """
-    if mat.ndim == 2:
+    if kind is None:
         (m00, m01), (m10, m11) = mat.tolist()
         kind = _kind(m00, m01, m10, m11)
         psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
     else:
-        entries = mat.reshape(4, -1)
-        m00, m01, m10, m11 = entries[0], entries[1], entries[2], entries[3]
-        kind = _kind(*entries[:, 0].tolist())
-        psi = states.reshape(-1, 2, entries.shape[1])
+        m00, m01, m10, m11 = mat
+        psi = states.reshape(-1, 2, mat.shape[1])
     if kind == _EXCHANGE:
         swapped = m01 * psi[:, ::-1]
         np.multiply(m00, psi, psi)
@@ -270,47 +270,56 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
         raise ValueError(
             f"gammas {gammas.shape} and betas {betas.shape} must both be (p,) or (B, p)"
         )
-    energies = h.shifted_energies()
     if gammas.ndim == 1:
-        state = _evolve_lockstep(energies, gammas[None], betas[None], mixer, q)
+        state = _evolve_lockstep(h, gammas[None], betas[None], mixer)
         return Statevector(state[:, 0], q)
     out = np.empty((len(gammas), 1 << q), dtype=complex)
     per_batch = lockstep_rows(q)
     for lo in range(0, len(out), per_batch):
         rows = slice(lo, lo + per_batch)
-        out[rows] = _evolve_lockstep(energies, gammas[rows], betas[rows], mixer, q).T
+        out[rows] = _evolve_lockstep(h, gammas[rows], betas[rows], mixer).T
     return Statevector(out, q)
 
 
-def _evolve_lockstep(energies, gammas, betas, mixer: str, q: int) -> np.ndarray:
+def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.ndarray:
     """The states of the (B, p) angle rows as the columns of one C-ordered
     (2^q, B) array, each with the bytes of a state evolved alone.
 
-    A lone column takes the flat phase ``state * np.exp(...)``, whose
-    temporary numpy reuses from 256 KiB on, swapping the operands as for a
-    state evolved alone.  A mixer layer updates its columns together when
-    they take one kind of update, else each alone with its own 2x2 matrix.
+    A lone column takes the flat phase ``state * np.exp(...)`` over all
+    2^q shifted energies, whose temporary numpy reuses from 256 KiB on,
+    swapping the operands as for a state evolved alone.  A batch takes one
+    ``exp`` per distinct energy level (``shifted_levels()``), gathered
+    into the phase; every entry is the same product of the same bytes.
+    A mixer layer updates its columns together when they take one kind of
+    update, else each alone with its own 2x2 matrix.
     """
+    q = h.num_qubits
     dim, (rows, p) = 1 << q, gammas.shape
     scales = (-1j * gammas).T[:, :, None]
     layers = [[_rotation_rows(mixer, 2.0 * b) for b in layer] for layer in betas.T.tolist()]
-    if rows > 1:
-        # each column's matrix repeated along the longest half pair, 2^(q-1)
-        # rows.  Broadcasting (B,) entries gives the same bytes but ran 7-34%
+    if rows == 1:
+        energies = h.shifted_energies()
+    else:
+        levels, inverse = h.shifted_levels()
+        # each column's entries m00, m01, m10, m11 repeated along the longest
+        # half pair, 2^(q-1) rows, so qubit k's are the first 2^(k-1) B of
+        # each.  Broadcasting (B,) entries gives the same bytes but ran 7-34%
         # slower at q = 4..9 (3 rows, p = 2..8): its inner loops are B long.
         entries = np.array([v for mats in layers for m in mats for r in m for v in r])
-        entries = entries.reshape(p, rows, 2, 2).transpose(0, 2, 3, 1)[:, :, :, None, :]
-        runs = np.repeat(entries, dim // 2, axis=3)
+        entries = entries.reshape(p, rows, 4).transpose(0, 2, 1)[:, :, None, :]
+        runs = np.repeat(entries, dim // 2, axis=2).reshape(p, 4, rows * (dim // 2))
     state = np.full((dim, rows), 1.0 / math.sqrt(dim), dtype=complex)
     for layer, (scale, mats) in enumerate(zip(scales, layers)):
         if rows == 1:
             state = (state[:, 0] * np.exp(scale[0, 0] * energies))[:, None]
         else:
-            state = state * np.exp(scale * energies).T
-        if rows > 1 and len({_kind(*r0, *r1) for r0, r1 in mats}) == 1:
-            for k in range(1, q + 1):
-                _apply_1q(state, runs[layer, :, :, : 1 << (k - 1)], k)
-            continue
+            state = state * np.exp(scale * levels).take(inverse, axis=1).T
+            kinds = {_kind(*r0, *r1) for r0, r1 in mats}
+            if len(kinds) == 1:
+                kind = kinds.pop()
+                for k in range(1, q + 1):
+                    _apply_1q(state, runs[layer, :, : rows << (k - 1)], k, kind)
+                continue
         for c, mat in enumerate(mats):
             # gathered contiguous, to take the loops a state evolved alone takes
             col, mat = np.ascontiguousarray(state[:, c]), np.array(mat)

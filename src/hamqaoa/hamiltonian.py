@@ -42,6 +42,9 @@ class DiagonalHamiltonian:
     _shifted: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _levels: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_ising(cls, m: IsingModel) -> "DiagonalHamiltonian":
@@ -89,6 +92,19 @@ class DiagonalHamiltonian:
             out.flags.writeable = False
             object.__setattr__(self, "_shifted", out)
         return self._shifted
+
+    def shifted_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(levels, inverse)``: the distinct shifted energies, sorted, and
+        the index of each basis state's level, so that ``levels[inverse]``
+        is ``shifted_energies()``.  A cost phase then takes one ``exp`` per
+        level.  Computed on the first call; every call returns that same
+        pair of read-only arrays."""
+        if self._levels is None:
+            levels, inverse = np.unique(self.shifted_energies(), return_inverse=True)
+            levels.flags.writeable = False
+            inverse.flags.writeable = False
+            object.__setattr__(self, "_levels", (levels, inverse))
+        return self._levels
 
 
 def check_qubits(q: int) -> None:

@@ -247,6 +247,14 @@ def to_term_list(m: IsingModel) -> list[tuple[str, Fraction]]:
     return terms
 
 
+def _number(value, name: str) -> Fraction:
+    """A term-list coefficient as a Fraction; a bool (JSON true, false)
+    is refused rather than read as 1 or 0."""
+    if isinstance(value, bool):
+        raise MalformedInput(f"{name} must be a number, got {value!r}")
+    return Fraction(value)
+
+
 def from_term_list(terms, num_qubits: int | None = None, constant=0) -> IsingModel:
     """Rebuild an IsingModel from (pauli string, coefficient) pairs."""
     terms = list(terms)
@@ -258,12 +266,12 @@ def from_term_list(terms, num_qubits: int | None = None, constant=0) -> IsingMod
         raise MalformedInput(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
     linear: dict[int, Fraction] = {}
     quadratic: dict[tuple[int, int], Fraction] = {}
-    const = Fraction(constant)
+    const = _number(constant, "constant")
     for pauli, coeff in terms:
         if len(pauli) != num_qubits or any(c not in "IZ" for c in pauli):
             raise UnmappedVariable(f"bad pauli string {pauli!r}")
         qubits = [i + 1 for i, c in enumerate(pauli) if c == "Z"]
-        c = Fraction(coeff)
+        c = _number(coeff, f"coeff of {pauli!r}")
         if len(qubits) == 0:
             const += c
         elif len(qubits) == 1:

@@ -80,15 +80,20 @@ def random_circuit(rng, max_qubits=4, min_gates=5, max_gates=25):
     return ParamCircuit(q, tuple(gates), 0)
 
 
-def general_apply_1q(states, mat, k):
+def general_apply_1q(states, mat, k, kind=None):
     """A 2x2 matrix on qubit k, in place, updating the two halves in turn:
     the engine's kernel before its exchange-symmetric branch, kept as the
-    reference for that branch.  Same layout and operand order as
-    ``engine._apply_1q``."""
-    (m00, m01), (m10, m11) = mat.tolist()
-    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
+    reference for that branch.  Same layout, operand order and arguments
+    as ``engine._apply_1q``; a column batch's (4, 2^(k-1) B) repeated
+    entries come with a ``kind``, which is ignored here."""
+    if kind is None:
+        (m00, m01), (m10, m11) = mat.tolist()
+        psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
+    else:
+        m00, m01, m10, m11 = mat
+        psi = states.reshape(-1, 2, mat.shape[1])
     a0, a1 = psi[:, 0], psi[:, 1]
-    if m01 == 0 and m10 == 0:
+    if not np.any(m01) and not np.any(m10):
         np.multiply(m00, a0, a0)
         np.multiply(m11, a1, a1)
         return

@@ -246,6 +246,19 @@ def test_term_file_num_qubits_must_be_a_non_negative_integer(
     assert "num_qubits must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "solve"])
+@pytest.mark.parametrize(
+    "terms, constant",
+    [([{"pauli": "ZZ", "coeff": True}], 0), ([{"pauli": "ZZ", "coeff": 1}], True)],
+)
+def test_term_file_bool_coefficient_is_refused(command, terms, constant, capsys, tmp_path):
+    # JSON true is not the number 1
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps({"num_qubits": 2, "terms": terms, "constant": constant}))
+    assert main([command, "--terms", str(path)]) == 2
+    assert "must be a number, got True" in capsys.readouterr().err
+
+
 def test_spectrum_resource_cap(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"terms": [{"pauli": "Z" + "I" * 24, "coeff": 1}]}))

@@ -121,26 +121,43 @@ def random_hamiltonian(rng, q):
     return DiagonalHamiltonian(q, terms, float(rng.normal()))
 
 
-@pytest.mark.parametrize("q", range(15))
-def test_batched_rows_match_the_single_state_oracle(q):
-    # B runs from 1 past the rows of one lockstep batch; from q = 11 a
-    # batch holds one row, so q = 13 and 14 (whose batches of 2 or 3 would
-    # cross numpy's 256 KiB temporary elision) evolve each row alone
-    rng = np.random.default_rng(q)
-    h = random_hamiltonian(rng, q)
-    per_batch = engine.lockstep_rows(q)
+def assert_batches_match_the_oracle(h, rng):
+    # B runs from 1 past the rows of one lockstep batch
+    per_batch = engine.lockstep_rows(h.num_qubits)
     for mixer in ("RX", "RY"):
         for rows in sorted({1, 2, 3, 4, per_batch, per_batch + 1}):
             gammas = rng.uniform(-7, 7, (rows, 3))
             betas = rng.uniform(-7, 7, (rows, 3))
             batch = qaoa_state(h, gammas, betas, mixer)
             values = expectation(batch, h)
-            assert batch.amplitudes.shape == (rows, 1 << q)
+            assert batch.amplitudes.shape == (rows, 1 << h.num_qubits)
             assert values.shape == (rows,)
             for r in range(rows):
                 single = single_qaoa_state(h, gammas[r], betas[r], mixer)
                 assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
                 assert repr(float(values[r])) == repr(expectation(single, h))
+
+
+@pytest.mark.parametrize("q", range(15))
+def test_batched_rows_match_the_single_state_oracle(q):
+    # every energy of a random model is its own level.  From q = 10 a
+    # batch holds one row, so q = 13 and 14 (whose batches of 2 or 3 would
+    # cross numpy's 256 KiB temporary elision) evolve each row alone
+    rng = np.random.default_rng(q)
+    assert_batches_match_the_oracle(random_hamiltonian(rng, q), rng)
+
+
+@pytest.mark.parametrize(
+    "model, levels", [("triangle_model", 3), ("square_fixture_model", 17)]
+)
+def test_batched_rows_of_few_level_models_match_the_single_state_oracle(
+    model, levels, request
+):
+    # compiled models share each level among many basis states, so a batch
+    # gathers one phase entry into many amplitudes
+    h = DiagonalHamiltonian.from_ising(request.getfixturevalue(model))
+    assert len(h.shifted_levels()[0]) == levels
+    assert_batches_match_the_oracle(h, np.random.default_rng(levels))
 
 
 def test_single_rows_match_the_single_state_oracle(square_fixture_model):
@@ -173,13 +190,21 @@ def test_zero_beta_beside_nonzero_ones_matches_the_oracle(mixer, triangle_model)
 def test_qaoa_state_reads_the_cached_shifted_energies(triangle_model, monkeypatch):
     h = DiagonalHamiltonian.from_ising(triangle_model)
     first = qaoa_state(h, [0.3], [0.4]).amplitudes.tobytes()
+    pair = qaoa_state(h, [[0.3], [0.5]], [[0.4], [0.6]]).amplitudes.tobytes()
+    table = h.shifted_levels()
+    levels, inverse = table
+    assert not levels.flags.writeable and not inverse.flags.writeable
+    assert levels[inverse].tobytes() == h.shifted_energies().tobytes()
 
-    def must_not_run(self):
-        raise AssertionError("energies() read again")
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed again")
 
     monkeypatch.setattr(DiagonalHamiltonian, "energies", must_not_run)
+    monkeypatch.setattr(np, "unique", must_not_run)  # builds the level table
     assert qaoa_state(h, [0.3], [0.4]).amplitudes.tobytes() == first
     assert qaoa_state(h, [[0.3], [0.3]], [[0.4], [0.4]]).amplitudes[1].tobytes() == first
+    assert qaoa_state(h, [[0.3], [0.5]], [[0.4], [0.6]]).amplitudes.tobytes() == pair
+    assert h.shifted_levels() is table
 
 
 def test_lockstep_batches_stay_below_numpy_temporary_elision():

@@ -223,6 +223,16 @@ def test_from_term_list_refuses_a_bad_width(num_qubits):
         from_term_list([], num_qubits=num_qubits)
 
 
+@pytest.mark.parametrize(
+    "terms, constant, name",
+    [([("ZZ", True)], 0, "coeff of 'ZZ'"), ([("IZ", False)], 0, "coeff of 'IZ'"),
+     ([("ZZ", 1)], True, "constant")],
+)
+def test_from_term_list_refuses_a_bool_coefficient(terms, constant, name):
+    with pytest.raises(MalformedInput, match=f"{name} must be a number"):
+        from_term_list(terms, num_qubits=2, constant=constant)
+
+
 def _graphs_for_compiler_oracle():
     yield from all_graphs(3)
     yield from all_graphs(4)
