@@ -72,12 +72,9 @@ def lockstep_rows(q: int) -> int:
     return max(1, LOCKSTEP_AMPLITUDES >> q)
 
 
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+# 2x2 matrices as (m00, m01, m10, m11) of Python numbers
+_PAULI = {"X": (0, 1, 1, 0), "Y": (0, -1j, 1j, 0), "Z": (1, 0, 0, -1)}
+_H = tuple(v / math.sqrt(2) for v in (1, 1, 1, -1))
 _PAULI_1Q = ("X", "Y", "Z")
 _PAULI_2Q = [
     (a, b) for a in ("I", "X", "Y", "Z") for b in ("I", "X", "Y", "Z")
@@ -130,58 +127,46 @@ class Distribution:
         )
 
 
-def _rotation_rows(kind: str, theta: float) -> tuple:
-    """The rows of a rotation matrix, as Python numbers."""
+def _rotation(kind: str, theta: float) -> tuple:
+    """A rotation matrix as (m00, m01, m10, m11) of Python numbers."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     if kind == "RX":
-        return (c, -1j * s), (-1j * s, c)
+        return c, -1j * s, -1j * s, c
     if kind == "RY":
-        return (c, -s), (s, c)
-    return (c - 1j * s, 0), (0, c + 1j * s)  # RZ
+        return c, -s, s, c
+    return c - 1j * s, 0, 0, c + 1j * s  # RZ
 
 
-def _rotation(kind: str, theta: float) -> np.ndarray:
-    return np.array(_rotation_rows(kind, theta))
-
-
-# The three updates of _apply_1q, by the matrix they apply.
+# The three updates of _apply_1q, and the one each kind of gate takes:
+# exchange for m00 == m11 and m01 == m10, diagonal, or general.
 _EXCHANGE, _DIAGONAL, _GENERAL = range(3)
+_KIND = {
+    "H": _GENERAL, "RX": _EXCHANGE, "RY": _GENERAL, "RZ": _DIAGONAL,
+    "X": _EXCHANGE, "Y": _GENERAL, "Z": _DIAGONAL,
+}
 
 
-def _kind(m00, m01, m10, m11) -> int:
-    if m00 == m11 and m01 == m10 != 0:
-        return _EXCHANGE
-    if m01 == 0 and m10 == 0:
-        return _DIAGONAL
-    return _GENERAL
+def _apply_1q(states: np.ndarray, m, k: int, kind: int) -> None:
+    """Apply the 2x2 matrix ``m = (m00, m01, m10, m11)`` to qubit k (index
+    bit k-1), in place, by the update ``kind`` of its gate (``_KIND``).
 
+    ``states`` is one state of shape (2^q,) or one state per column of
+    shape (2^q, B), in C or F order (``_replay`` passes the F-ordered
+    gather ``batch[:, cols]``).  Only axis 0 is split, into half pairs of
+    2^(k-1) rows, so the view never copies.  Each entry of ``m`` is a
+    Python number, or an array that broadcasts against a (2^(k-1), B) half
+    pair: one matrix per column, its entry repeated along the rows.
 
-def _apply_1q(states: np.ndarray, mat: np.ndarray, k: int, kind: int | None = None) -> None:
-    """Apply a 2x2 matrix to qubit k (index bit k-1), in place.
-
-    ``states`` is C-contiguous of shape (2^q,) or (2^q, B), one state per
-    column, so that each half of the pair is a run of whole rows.
     Products keep the scalar on the left, as numpy's fused complex
     multiply rounds by operand order, and every amplitude gets
     ``m_i0 * a0 + m_i1 * a1`` with each product rounded before the sum.
-    An exchange-symmetric matrix (``m00 == m11``, ``m01 == m10 != 0``:
-    RX and X) does that in three full-size passes over the swapped pair;
-    a diagonal matrix (RZ, Z) skips its zero products, which could only
-    add signed zeros; any other matrix updates the two halves in turn.
-
-    A column batch may instead take one matrix per column, given with the
-    ``kind`` of update all of them select: ``mat`` of shape (4, 2^(k-1) B)
-    holds rows m00, m01, m10 and m11, each column's entry repeated along
-    the 2^(k-1) rows of a half pair, so that every operation runs over
-    whole rows at once.
+    The exchange update (RX, X) does that in three full-size passes over
+    the swapped pair; the diagonal one (RZ, Z) skips its zero products,
+    which could only add signed zeros; the general one updates the two
+    halves in turn.
     """
-    if kind is None:
-        (m00, m01), (m10, m11) = mat.tolist()
-        kind = _kind(m00, m01, m10, m11)
-        psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
-    else:
-        m00, m01, m10, m11 = mat
-        psi = states.reshape(-1, 2, mat.shape[1])
+    m00, m01, m10, m11 = m
+    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
     if kind == _EXCHANGE:
         swapped = m01 * psi[:, ::-1]
         np.multiply(m00, psi, psi)
@@ -214,12 +199,11 @@ def _apply_cnot(states: np.ndarray, control: int, target: int) -> None:
 
 
 def _apply_gate(states: np.ndarray, g: Gate) -> None:
-    if g.kind == "H":
-        _apply_1q(states, _H, g.targets[0])
-    elif g.kind == "CNOT":
+    if g.kind == "CNOT":
         _apply_cnot(states, g.targets[0], g.targets[1])
-    else:
-        _apply_1q(states, _rotation(g.kind, float(g.angle)), g.targets[0])
+        return
+    m = _H if g.kind == "H" else _rotation(g.kind, float(g.angle))
+    _apply_1q(states, m, g.targets[0], _KIND[g.kind])
 
 
 def _check_circuit(c: ParamCircuit) -> None:
@@ -290,42 +274,32 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     swapping the operands as for a state evolved alone.  A batch takes one
     ``exp`` per distinct energy level (``shifted_levels()``), gathered
     into the phase; every entry is the same product of the same bytes.
-    A mixer layer updates its columns together when they take one kind of
-    update, else each alone with its own 2x2 matrix.
+    Every mixer layer updates all columns together, by the mixer's kind.
     """
     q = h.num_qubits
     dim, (rows, p) = 1 << q, gammas.shape
     scales = (-1j * gammas).T[:, :, None]
-    layers = [[_rotation_rows(mixer, 2.0 * b) for b in layer] for layer in betas.T.tolist()]
+    kind = _KIND[mixer]
+    # each column's entries m00, m01, m10, m11 repeated along the longest
+    # half pair, 2^(q-1) rows (a lone column's one row broadcasts), so
+    # qubit k's are the first 2^(k-1) rows of each.  Broadcasting (B,)
+    # entries gives the same bytes but ran 7-34% slower at q = 4..9 (3
+    # rows, p = 2..8): its inner loops are B long.
+    entries = np.array([_rotation(mixer, 2.0 * b) for b in betas.T.ravel().tolist()])
+    entries = entries.reshape(p, rows, 4).transpose(0, 2, 1)[:, :, None, :]
+    runs = np.repeat(entries, dim // 2 if rows > 1 else 1, axis=2)
     if rows == 1:
         energies = h.shifted_energies()
     else:
         levels, inverse = h.shifted_levels()
-        # each column's entries m00, m01, m10, m11 repeated along the longest
-        # half pair, 2^(q-1) rows, so qubit k's are the first 2^(k-1) B of
-        # each.  Broadcasting (B,) entries gives the same bytes but ran 7-34%
-        # slower at q = 4..9 (3 rows, p = 2..8): its inner loops are B long.
-        entries = np.array([v for mats in layers for m in mats for r in m for v in r])
-        entries = entries.reshape(p, rows, 4).transpose(0, 2, 1)[:, :, None, :]
-        runs = np.repeat(entries, dim // 2, axis=2).reshape(p, 4, rows * (dim // 2))
     state = np.full((dim, rows), 1.0 / math.sqrt(dim), dtype=complex)
-    for layer, (scale, mats) in enumerate(zip(scales, layers)):
+    for scale, mats in zip(scales, runs):
         if rows == 1:
             state = (state[:, 0] * np.exp(scale[0, 0] * energies))[:, None]
         else:
             state = state * np.exp(scale * levels).take(inverse, axis=1).T
-            kinds = {_kind(*r0, *r1) for r0, r1 in mats}
-            if len(kinds) == 1:
-                kind = kinds.pop()
-                for k in range(1, q + 1):
-                    _apply_1q(state, runs[layer, :, : rows << (k - 1)], k, kind)
-                continue
-        for c, mat in enumerate(mats):
-            # gathered contiguous, to take the loops a state evolved alone takes
-            col, mat = np.ascontiguousarray(state[:, c]), np.array(mat)
-            for k in range(1, q + 1):
-                _apply_1q(col, mat, k)
-            state[:, c] = col
+        for k in range(1, q + 1):
+            _apply_1q(state, mats[:, : 1 << (k - 1)], k, kind)
     return state
 
 
@@ -506,6 +480,7 @@ def _inject(states: np.ndarray, g: Gate, k: int) -> None:
     if g.kind == "CNOT":
         for label, qubit in zip(_PAULI_2Q[k], g.targets):
             if label != "I":
-                _apply_1q(states, _PAULI[label], qubit)
+                _apply_1q(states, _PAULI[label], qubit, _KIND[label])
     else:
-        _apply_1q(states, _PAULI[_PAULI_1Q[k]], g.targets[0])
+        label = _PAULI_1Q[k]
+        _apply_1q(states, _PAULI[label], g.targets[0], _KIND[label])

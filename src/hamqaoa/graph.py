@@ -59,11 +59,12 @@ def parse_graph(text: str) -> Graph:
         raise MalformedInput('expected an object with "n" and "edges"')
     n = obj["n"]
     edges = obj["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    # JSON true and false load as bools, which are ints to isinstance
+    if type(n) is not int or not isinstance(edges, list):
         raise MalformedInput('"n" must be an integer and "edges" a list')
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise MalformedInput(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return make_graph(n, pairs)
@@ -108,9 +109,10 @@ class DecodedTour:
         return self.order is not None
 
 
-def _check_assignment(bits: str, g: Graph) -> None:
-    if len(bits) != g.num_qubits:
-        raise LengthMismatch(f"expected {g.num_qubits} bits, got {len(bits)}")
+def check_assignment(bits: str, num_qubits: int) -> None:
+    """Refuse an assignment string of the wrong length or not binary."""
+    if len(bits) != num_qubits:
+        raise LengthMismatch(f"expected {num_qubits} bits, got {len(bits)}")
     if any(c not in "01" for c in bits):
         raise MalformedInput("assignment may contain only '0' and '1'")
 
@@ -122,7 +124,7 @@ def decode(bits: str, g: Graph) -> DecodedTour:
     vertex), then vertex uniqueness, then edge validity including the
     wrap-around edges through vertex 1.
     """
-    _check_assignment(bits, g)
+    check_assignment(bits, g.num_qubits)
     n = g.n
 
     def x(v: int, j: int) -> int:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, TooManyQubits
-from .graph import Graph, qubit_index
+from .errors import TooManyQubits
+from .graph import Graph, check_assignment, qubit_index
 from .qubo import IsingModel
 
 SPECTRUM_QUBIT_CAP = 20
@@ -144,8 +144,7 @@ def energy_of(h: DiagonalHamiltonian, bits: str) -> float:
 
     Reads the full energy vector, so it refuses registers past the
     simulator's qubit cap before building it."""
-    if len(bits) != h.num_qubits:
-        raise LengthMismatch(f"expected {h.num_qubits} bits, got {len(bits)}")
+    check_assignment(bits, h.num_qubits)
     check_qubits(h.num_qubits)
     return float(h.energies()[bits_to_index(bits)])
 
@@ -225,8 +224,7 @@ def qubo_oracle(g: Graph, weight, bits: str):
     non-adjacent pair.  Bypasses the compiler entirely.
     """
     n = g.n
-    if len(bits) != (n - 1) ** 2:
-        raise LengthMismatch(f"expected {(n - 1) ** 2} bits, got {len(bits)}")
+    check_assignment(bits, g.num_qubits)
     x = [[0] * (n + 1) for _ in range(n + 1)]
     x[1][1] = 1
     for v in range(2, n + 1):

@@ -19,7 +19,7 @@ from itertools import combinations, starmap
 from numbers import Integral
 
 from .errors import MalformedInput, NonPositiveWeight, UnmappedVariable
-from .graph import Graph, non_edges, qubit_index
+from .graph import Graph, check_assignment, non_edges, qubit_index
 
 Var = tuple[int, int]  # (v, j) with v, j in 2..n
 
@@ -166,6 +166,7 @@ class IsingModel:
 
     def energy(self, bits: str) -> Fraction:
         """Exact energy of a computational-basis state ('1' means Z = -1)."""
+        check_assignment(bits, self.num_qubits)
         z = [1 if c == "0" else -1 for c in bits]
         total = self.constant
         for k, c in self.linear.items():

@@ -80,18 +80,14 @@ def random_circuit(rng, max_qubits=4, min_gates=5, max_gates=25):
     return ParamCircuit(q, tuple(gates), 0)
 
 
-def general_apply_1q(states, mat, k, kind=None):
-    """A 2x2 matrix on qubit k, in place, updating the two halves in turn:
-    the engine's kernel before its exchange-symmetric branch, kept as the
-    reference for that branch.  Same layout, operand order and arguments
-    as ``engine._apply_1q``; a column batch's (4, 2^(k-1) B) repeated
-    entries come with a ``kind``, which is ignored here."""
-    if kind is None:
-        (m00, m01), (m10, m11) = mat.tolist()
-        psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
-    else:
-        m00, m01, m10, m11 = mat
-        psi = states.reshape(-1, 2, mat.shape[1])
+def general_apply_1q(states, m, k, kind):
+    """A 2x2 matrix on qubit k, in place, updating the two halves in turn
+    (or, when both off-diagonal entries are zero, each alone): the
+    engine's kernel before its exchange-symmetric branch, kept as the
+    reference for that branch.  Same layouts, operand order and arguments
+    as ``engine._apply_1q``; ``kind`` is ignored here."""
+    m00, m01, m10, m11 = m
+    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
     a0, a1 = psi[:, 0], psi[:, 1]
     if not np.any(m01) and not np.any(m10):
         np.multiply(m00, a0, a0)
@@ -108,7 +104,7 @@ def single_qaoa_state(h, gammas, betas, mixer="RX"):
     """``engine.qaoa_state`` before it took batches of angle rows: one
     state, evolved alone, with the energies shifted on every call; the
     reference for every row of a batch."""
-    from hamqaoa.engine import Statevector, _apply_1q, _rotation
+    from hamqaoa.engine import _KIND, Statevector, _apply_1q, _rotation
 
     q = h.num_qubits
     dim = 1 << q
@@ -118,7 +114,7 @@ def single_qaoa_state(h, gammas, betas, mixer="RX"):
         state = state * np.exp(-1j * float(gamma) * energies)
         mat = _rotation(mixer, 2.0 * float(beta))
         for k in range(1, q + 1):
-            _apply_1q(state, mat, k)
+            _apply_1q(state, mat, k, _KIND[mixer])
     return Statevector(state, q)
 
 
@@ -167,11 +163,6 @@ def _rng(seed, tag):
     return np.random.default_rng((*base, tag))
 
 
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _PAULI_1Q = ("X", "Y", "Z")
 _PAULI_2Q = [(a, b) for a in "IXYZ" for b in "IXYZ"][1:]
 
@@ -184,9 +175,10 @@ def per_shot_trajectories(circuit, nm, shots, seed):
     uniforms (tag 1), gate-error flags in chunks of whole shots (tag 2),
     one Pauli index per flagged gate, shot by shot and gate by gate
     (tag 3), readout flips (tag 4).  Gate math comes from
-    ``engine._apply_gate``, which the dense oracle already checks.
+    ``engine._apply_gate``, which the dense oracle already checks, and
+    each Pauli from ``engine._apply_1q`` with the engine's ``_PAULI``.
     """
-    from hamqaoa.engine import _apply_1q, _apply_gate
+    from hamqaoa.engine import _KIND, _PAULI, _apply_1q, _apply_gate
     from hamqaoa.hamiltonian import index_to_bits
 
     q, gates = circuit.num_qubits, circuit.gates
@@ -206,9 +198,10 @@ def per_shot_trajectories(circuit, nm, shots, seed):
             pair = _PAULI_2Q[pauli_rng.integers(len(_PAULI_2Q))]
             for label, qubit in zip(pair, g.targets):
                 if label != "I":
-                    _apply_1q(state, _PAULI[label], qubit)
+                    _apply_1q(state, _PAULI[label], qubit, _KIND[label])
         else:
-            _apply_1q(state, _PAULI[_PAULI_1Q[pauli_rng.integers(3)]], g.targets[0])
+            label = _PAULI_1Q[pauli_rng.integers(3)]
+            _apply_1q(state, _PAULI[label], g.targets[0], _KIND[label])
 
     def draw(state, u):
         cum = np.cumsum(np.abs(state) ** 2)

@@ -341,6 +341,17 @@ def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, 
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compile", "spectrum", "solve"])
+def test_graph_file_bool_endpoint_is_refused(command, capsys, tmp_path):
+    # JSON true is not the vertex 1
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 3, "edges": [[true, 2], [2, 3], [1, 3]]}')
+    code = main([command, "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad edge entry [True, 2]" in err and "Traceback" not in err
+
+
 def _module_cli(*argv, cwd):
     """Run ``python -m hamqaoa.cli`` in a fresh interpreter on this source tree."""
     env = dict(os.environ)

@@ -172,12 +172,12 @@ def test_single_rows_match_the_single_state_oracle(square_fixture_model):
 
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
 def test_zero_beta_beside_nonzero_ones_matches_the_oracle(mixer, triangle_model):
-    # a zero beta takes the diagonal update and the others do not, so
-    # those rows cannot share one update
+    # a zero beta's rotation is diagonal by its values; its row still
+    # takes the mixer's update, together with the other rows
     h = DiagonalHamiltonian.from_ising(triangle_model)
     gammas = np.array([[0.0, 0.4], [0.3, 0.0], [0.7, 1.1]])
     betas = np.array([[0.0, 0.5], [0.2, -0.0], [0.9, 0.6]])
-    # in four rows, only the middle one of three layers mixes kinds
+    # in four rows, only the middle one of three layers has zero betas
     gammas4 = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]])
     betas4 = np.array([[0.3, 0.0, 0.2], [0.4, 0.7, 0.9], [-0.2, 0.0, 1.3], [0.8, 0.5, -0.6]])
     for gammas, betas in [(gammas, betas), (gammas4, betas4)]:
@@ -492,15 +492,22 @@ def test_trajectories_match_density_matrix(
 @pytest.mark.parametrize("q", range(1, 11))
 def test_exchange_symmetric_kernel_matches_general_kernel(q):
     rng = np.random.default_rng(q)
-    mats = [engine._rotation("RX", float(t)) for t in rng.uniform(-7, 7, 3)]
+    mats = [engine._rotation("RX", t) for t in [*rng.uniform(-7, 7, 3).tolist(), 0.0]]
     mats.append(engine._PAULI["X"])
-    for shape in [(1 << q,), (1 << q, 3)]:
-        for mat in mats:
-            for k in range(1, q + 1):
-                state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def states():
+        yield rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+        yield rng.normal(size=(1 << q, 3)) + 1j * rng.normal(size=(1 << q, 3))
+        # F-ordered, as the gather ``batch[:, cols]`` in ``_replay``
+        batch = rng.normal(size=(1 << q, 5)) + 1j * rng.normal(size=(1 << q, 5))
+        yield batch[:, [4, 0, 2]]
+
+    for mat in mats:
+        for k in range(1, q + 1):
+            for state in states():
                 expected = state.copy()
-                engine._apply_1q(state, mat, k)
-                general_apply_1q(expected, mat, k)
+                engine._apply_1q(state, mat, k, engine._EXCHANGE)
+                general_apply_1q(expected, mat, k, engine._EXCHANGE)
                 assert state.tobytes() == expected.tobytes()
 
 

@@ -45,7 +45,17 @@ def test_parse_rejects_bad_endpoint():
 
 @pytest.mark.parametrize(
     "text",
-    ["not json", "[1,2]", '{"n":3}', '{"n":3,"edges":[[1]]}', '{"n":3,"edges":[[2,2]]}'],
+    [
+        "not json",
+        "[1,2]",
+        '{"n":3}',
+        '{"n":3,"edges":[[1]]}',
+        '{"n":3,"edges":[[2,2]]}',
+        # JSON true is not the vertex 1
+        '{"n":3,"edges":[[true,2],[2,3],[1,3]]}',
+        '{"n":true,"edges":[]}',
+        '{"n":3,"edges":[[1,false]]}',
+    ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedInput):

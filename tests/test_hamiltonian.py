@@ -13,7 +13,7 @@ from hamqaoa import (
     qubo_oracle,
     to_ising,
 )
-from hamqaoa.errors import LengthMismatch, TooManyQubits
+from hamqaoa.errors import LengthMismatch, MalformedInput, TooManyQubits
 from hamqaoa.cli import reference_square_model
 from hamqaoa.hamiltonian import _bit_strings, index_to_bits
 from oracles import grouped_spectrum, parity_energies
@@ -35,6 +35,13 @@ def test_energy_of_length_mismatch(triangle_model):
     h = DiagonalHamiltonian.from_ising(triangle_model)
     with pytest.raises(LengthMismatch):
         energy_of(h, "10")
+
+
+@pytest.mark.parametrize("bits", ["x00z", "1021", "10 1"])
+def test_energy_of_refuses_non_binary(bits, triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    with pytest.raises(MalformedInput, match="only '0' and '1'"):
+        energy_of(h, bits)
 
 
 def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):

@@ -20,7 +20,7 @@ from hamqaoa import (
     to_term_list,
     vertex_uniqueness,
 )
-from hamqaoa.errors import MalformedInput, NonPositiveWeight, UnmappedVariable
+from hamqaoa.errors import LengthMismatch, MalformedInput, NonPositiveWeight, UnmappedVariable
 from hamqaoa.hamiltonian import index_to_bits
 from oracles import rewrapping_compile
 
@@ -148,6 +148,18 @@ def test_affine_equivalence_exhaustive():
         for i in range(2 ** g.num_qubits):
             bits = index_to_bits(i, g.num_qubits)
             assert m.energy(bits) == q.value(assign_from_bits(bits, n))
+
+
+@pytest.mark.parametrize("bits", ["x00z", "1021", "10 1"])
+def test_ising_energy_refuses_non_binary(bits, triangle_model):
+    with pytest.raises(MalformedInput, match="only '0' and '1'"):
+        triangle_model.energy(bits)
+
+
+def test_ising_energy_refuses_a_wrong_length(triangle_model):
+    for bits in ["100", "10010"]:
+        with pytest.raises(LengthMismatch):
+            triangle_model.energy(bits)
 
 
 def test_strip_constant_preserves_ordering(square):
