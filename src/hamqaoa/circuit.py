@@ -12,6 +12,10 @@ from dataclasses import dataclass, replace
 from .errors import ArityMismatch, EmptyModel
 from .qubo import IsingModel
 
+# Most layers an ansatz may have: at about 210 B per gate and up to 876
+# gates per layer at 24 qubits, 1024 layers keep the gate list near 185 MB.
+LAYER_CAP = 1024
+
 
 @dataclass(frozen=True)
 class Param:
@@ -86,8 +90,8 @@ def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     mixer = check_mixer(mixer)
     if m.num_qubits < 1:
         raise EmptyModel("ansatz needs at least one qubit")
-    if p < 0:
-        raise ValueError("layer count must be >= 0")
+    if not 0 <= p <= LAYER_CAP:
+        raise ValueError(f"layer count must be in 0..{LAYER_CAP}, got {p}")
     gates: list[Gate] = [Gate("H", (q,)) for q in range(1, m.num_qubits + 1)]
     for layer in range(1, p + 1):
         gamma = lambda w: Param("gamma", layer, 2.0 * float(w))  # noqa: E731

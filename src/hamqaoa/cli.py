@@ -39,12 +39,16 @@ def _read(path: str) -> str:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
+def _write(text: str, path: str | None) -> None:
+    """Write text and a newline to path, or print it when no path is given."""
+    if not path:
         print(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc}") from exc
 
 
 def parse_noise(spec: str) -> NoiseModel:
@@ -137,16 +141,16 @@ def reference_square_model() -> IsingModel:
 
 def _model_from_args(args, cap: int) -> tuple[IsingModel, dict]:
     source: dict
-    if getattr(args, "terms", None):
+    if args.terms:
         model = load_terms(_read(args.terms))
         source = {"terms": args.terms}
-    elif getattr(args, "graph", None):
+    elif args.graph:
         model = _compile_graph(args.graph, args.weight, cap)
         source = {"graph": args.graph, "weight": args.weight}
     else:
         raise MalformedInput("need --graph or --terms")
-    rescale = _finite("--rescale", getattr(args, "rescale", None))
-    if getattr(args, "drop_constant", False) or rescale is not None:
+    rescale = _finite("--rescale", args.rescale)
+    if args.drop_constant or rescale is not None:
         model = strip_constant(model, rescale if rescale is not None else 1)
         source["drop_constant"] = True
         if rescale is not None:
@@ -190,7 +194,7 @@ def cmd_compile(args) -> int:
         )
     elif not args.drop_constant:
         obj["constant"] = float(model.constant)
-    _write_out(json.dumps(obj, indent=2), args.out)
+    _write(json.dumps(obj, indent=2), args.out)
     return 0
 
 
@@ -206,13 +210,12 @@ def cmd_spectrum(args) -> int:
         ],
         "manifest": _manifest("spectrum", **source),
     }
-    _write_out(json.dumps(obj, indent=2), args.out)
+    _write(json.dumps(obj, indent=2), args.out)
     if args.csv:
         lines = ["energy,bitstring"]
         for e, states in spec.levels:
             lines.extend(f"{e},{s}" for s in sorted(states))
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write("\n".join(lines), args.csv)
     return 0
 
 
@@ -249,20 +252,20 @@ def cmd_solve(args) -> int:
     model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     nm = parse_noise(args.noise) if args.noise else None
     report = _solve_from_args(args, model, source, nm=nm)
-    _write_out(report.to_json(), args.out)
+    _write(report.to_json(), args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(_dist_csv(report.final_distribution) + "\n")
+        _write(_dist_csv(report.final_distribution), args.csv)
     if args.trace_csv:
         lines = ["eval,value"] + [
             f"{i},{v}" for i, v in report.optimization.trace
         ]
-        with open(args.trace_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write("\n".join(lines), args.trace_csv)
     return 0
 
 
-def _merged_csv(label_a, dist_a, label_b, dist_b) -> str:
+def _merged_csv(arms) -> str:
+    """Both arms' counts per bitstring; arms are two (label, distribution)."""
+    (label_a, dist_a), (label_b, dist_b) = arms
     keys = sorted(set(dist_a.counts) | set(dist_b.counts))
     lines = [f"bitstring,count_{label_a},count_{label_b}"]
     for bits in keys:
@@ -296,80 +299,58 @@ def _resolve_axis_flags(args) -> None:
 def cmd_compare(args) -> int:
     model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     _resolve_axis_flags(args)
-    solver_params = dict(
-        restarts=args.restarts,
-        max_evals=args.max_evals,
-        sampled_objective=args.sampled_objective,
-    )
     if args.axis == "mixer":
-        rep_a = _solve_from_args(args, model, source, mixer=args.mixer_a)
-        rep_b = _solve_from_args(args, model, source, mixer=args.mixer_b)
-        obj = {
-            "axis": "mixer",
-            "a": {"mixer": rep_a.mixer, "report": json.loads(rep_a.to_json())},
-            "b": {"mixer": rep_b.mixer, "report": json.loads(rep_b.to_json())},
-            "ground_state_mass": {
-                rep_a.mixer: rep_a.ground_state_mass,
-                rep_b.mixer: rep_b.ground_state_mass,
-            },
-            "manifest": _manifest(
-                "compare",
-                axis="mixer",
-                **source,
-                mixer_a=args.mixer_a,
-                mixer_b=args.mixer_b,
-                p=args.p,
-                shots=args.shots,
-                seed=args.seed,
-                **solver_params,
-            ),
+        reps = [
+            _solve_from_args(args, model, source, mixer=mixer)
+            for mixer in (args.mixer_a, args.mixer_b)
+        ]
+        body = {
+            key: {"mixer": rep.mixer, "report": json.loads(rep.to_json())}
+            for key, rep in zip(("a", "b"), reps)
         }
-        dist_a, dist_b = rep_a.final_distribution, rep_b.final_distribution
-        label_a, label_b = rep_a.mixer.lower(), rep_b.mixer.lower()
+        arms = [(rep.mixer.lower(), rep.final_distribution) for rep in reps]
+        masses = {rep.mixer: rep.ground_state_mass for rep in reps}
+        axis_params = dict(mixer_a=args.mixer_a, mixer_b=args.mixer_b, p=args.p)
     else:  # noise axis
         nm = parse_noise(args.noise)
         rep = _solve_from_args(args, model, source)
         # Shared parameters: the noisy arm resamples the optimized circuit
         # through the trajectory engine instead of re-optimizing.
+        best = rep.optimization.best_params
         circuit = build_ansatz(model, args.p, rep.mixer)
-        p = args.p
-        bound = bind(
-            circuit,
-            rep.optimization.best_params[:p],
-            rep.optimization.best_params[p:],
-        )
+        bound = bind(circuit, best[: args.p], best[args.p :])
         noisy_dist = simulate_noisy(bound, nm, args.shots, args.seed)
         noisy_mass = noisy_dist.mass(rep.ground_states)
-        obj = {
-            "axis": "noise",
+        body = {
             "noiseless": json.loads(rep.to_json()),
             "noisy": {
                 "counts": dict(sorted(noisy_dist.counts.items())),
                 "ground_state_mass": noisy_mass,
                 "noise": _noise_dict(nm),
             },
-            "ground_state_mass": {
-                "noiseless": rep.ground_state_mass,
-                "noisy": noisy_mass,
-            },
-            "manifest": _manifest(
-                "compare",
-                axis="noise",
-                **source,
-                noise=_noise_dict(nm),
-                p=args.p,
-                mixer=args.mixer,
-                shots=args.shots,
-                seed=args.seed,
-                **solver_params,
-            ),
         }
-        dist_a, dist_b = rep.final_distribution, noisy_dist
-        label_a, label_b = "noiseless", "noisy"
-    _write_out(json.dumps(obj, indent=2), args.out)
+        arms = [("noiseless", rep.final_distribution), ("noisy", noisy_dist)]
+        masses = {"noiseless": rep.ground_state_mass, "noisy": noisy_mass}
+        axis_params = dict(noise=_noise_dict(nm), p=args.p, mixer=args.mixer)
+    obj = {
+        "axis": args.axis,
+        **body,
+        "ground_state_mass": masses,
+        "manifest": _manifest(
+            "compare",
+            axis=args.axis,
+            **source,
+            **axis_params,
+            shots=args.shots,
+            seed=args.seed,
+            restarts=args.restarts,
+            max_evals=args.max_evals,
+            sampled_objective=args.sampled_objective,
+        ),
+    }
+    _write(json.dumps(obj, indent=2), args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(_merged_csv(label_a, dist_a, label_b, dist_b) + "\n")
+        _write(_merged_csv(arms), args.csv)
     return 0
 
 

@@ -400,7 +400,7 @@ def _pauli_events(c: ParamCircuit, nm: NoiseModel, seed, shots: int):
     ev_shot = np.concatenate(shot_ids)
     ev_gate = np.concatenate(gate_ids)
     sizes = np.where(two_qubit[ev_gate], len(_PAULI_2Q), len(_PAULI_1Q))
-    ev_pauli = np.array([pauli_rng.integers(k) for k in sizes], dtype=np.int64)
+    ev_pauli = pauli_rng.integers(sizes)
     return ev_shot, ev_gate, ev_pauli
 
 

@@ -12,6 +12,7 @@ from hamqaoa import (
     build_ansatz,
     simulate,
 )
+from hamqaoa.circuit import LAYER_CAP
 from hamqaoa.errors import ArityMismatch, EmptyModel
 
 
@@ -64,6 +65,13 @@ def test_empty_model_rejected():
 def test_negative_layer_count_rejected(triangle_model):
     with pytest.raises(ValueError, match="layer count"):
         build_ansatz(triangle_model, -1)
+
+
+def test_layer_count_capped():
+    one_qubit = IsingModel(1, 0, {1: 1}, {})
+    assert build_ansatz(one_qubit, LAYER_CAP).num_layers == 1024
+    with pytest.raises(ValueError, match="layer count"):
+        build_ansatz(one_qubit, LAYER_CAP + 1)
 
 
 @pytest.mark.parametrize(

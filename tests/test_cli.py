@@ -321,6 +321,9 @@ def test_parse_noise():
         parse_noise("p3=1")
 
 
+_QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-evals", "4"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -328,13 +331,31 @@ def test_parse_noise():
         (["spectrum"], "need --graph or --terms"),
         (["spectrum", "--terms", "{not_json}"], "invalid JSON"),
         (["solve", "--shots", "0", "--graph", "{triangle}"], "shots must be in"),
+        (
+            ["solve", "--p", "100000000", "--max-evals", "1", "--graph", "{triangle}"],
+            "layer count",
+        ),
+        (["compile", "--graph", "{triangle}", "--out", "{missing}/out.json"], "cannot write"),
+        (["spectrum", "--graph", "{triangle}", "--out", "{missing}/out.json"], "cannot write"),
+        (["spectrum", "--graph", "{triangle}", "--csv", "{missing}/out.csv"], "cannot write"),
+        (["solve", *_QUICK_SOLVE, "--csv", "{missing}/out.csv"], "cannot write"),
+        (["solve", *_QUICK_SOLVE, "--trace-csv", "{missing}/out.csv"], "cannot write"),
+        (
+            ["compare", "--axis", "mixer", *_QUICK_SOLVE, "--csv", "{missing}/out.csv"],
+            "cannot write",
+        ),
     ],
-    ids=["noise-value", "no-model", "terms-not-json", "zero-shots"],
+    ids=[
+        "noise-value", "no-model", "terms-not-json", "zero-shots", "layers-past-cap",
+        "compile-out", "spectrum-out", "spectrum-csv", "solve-csv", "solve-trace-csv",
+        "compare-csv",
+    ],
 )
 def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, argv, message):
     not_json = tmp_path / "terms.json"
     not_json.write_text("ZZ 1.0\n")
-    argv = [a.format(triangle=triangle_file, not_json=not_json) for a in argv]
+    missing = tmp_path / "missing"
+    argv = [a.format(triangle=triangle_file, not_json=not_json, missing=missing) for a in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -416,6 +437,20 @@ def test_compare_noise_axis(capsys, triangle_file, tmp_path):
     assert 0.0 <= masses["noisy"] <= 1.0
     assert 0.0 <= masses["noiseless"] <= 1.0
     assert csv.read_text().splitlines()[0] == "bitstring,count_noiseless,count_noisy"
+
+
+def test_compare_arms_equal_solve_runs(capsys, triangle_file):
+    flags = [
+        "--graph", triangle_file, "--rescale", "2", "--p", "1", "--shots", "500",
+        "--max-evals", "60", "--restarts", "2", "--seed", "4",
+    ]
+    by_mixer = run_json(capsys, "compare", "--axis", "mixer", *flags)
+    for arm, mixer in [("a", "rx"), ("b", "ry")]:
+        assert by_mixer[arm]["report"] == run_json(capsys, "solve", *flags, "--mixer", mixer)
+    by_noise = run_json(
+        capsys, "compare", "--axis", "noise", "--noise", "p1=0.01", "--mixer", "ry", *flags
+    )
+    assert by_noise["noiseless"] == run_json(capsys, "solve", *flags, "--mixer", "ry")
 
 
 def test_compare_noise_axis_requires_noise(capsys, triangle_file):

@@ -370,6 +370,17 @@ def test_clean_shots_draw_through_the_replay(
         assert counts == list(sample(simulate(c), shots, seed).counts.items())
 
 
+@pytest.mark.parametrize("events", [0, 1, 20000])
+def test_pauli_indices_in_one_draw_equal_the_per_event_loop(events):
+    # _pauli_events draws every index in one call; the stream, and the
+    # generator's state after it, must be those of one draw per event
+    sizes = np.where(np.random.default_rng(events).random(events) < 0.3, 15, 3)
+    loop_rng, batch_rng = engine._substream(9, 3), engine._substream(9, 3)
+    expected = [int(loop_rng.integers(k)) for k in sizes]
+    assert batch_rng.integers(sizes).tolist() == expected
+    assert batch_rng.random() == loop_rng.random()
+
+
 def test_fully_depolarized_single_qubit():
     c = ParamCircuit(1, (Gate("H", (1,)),), 0)
     dist = simulate_noisy(c, NoiseModel(p1=1.0), 20000, seed=1)
