@@ -82,9 +82,10 @@ def check_mixer(mixer: str) -> str:
 def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     """Hadamard row followed by p alternating cost and mixer blocks.
 
-    Cost block, layer l: RZ(2 w gamma_l) per linear term (by qubit), then
-    CNOT(j,k), RZ(2 w gamma_l) on k, CNOT(j,k) per quadratic term
-    (lexicographic).  Mixer block: RX(2 beta_l) (or RY) on every qubit.
+    Cost block, layer l, in the order of ``IsingModel.terms``: RZ(2 w
+    gamma_l) per linear term, then CNOT(j,k), RZ(2 w gamma_l) on k,
+    CNOT(j,k) per quadratic term.  Mixer block: RX(2 beta_l) (or RY) on
+    every qubit.
     The constant term only contributes a global phase and is ignored.
     """
     mixer = check_mixer(mixer)
@@ -93,15 +94,17 @@ def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     if not 0 <= p <= LAYER_CAP:
         raise ValueError(f"layer count must be in 0..{LAYER_CAP}, got {p}")
     gates: list[Gate] = [Gate("H", (q,)) for q in range(1, m.num_qubits + 1)]
+    terms = [(qubits, 2.0 * float(w)) for qubits, w in m.terms()]
     for layer in range(1, p + 1):
-        gamma = lambda w: Param("gamma", layer, 2.0 * float(w))  # noqa: E731
-        for k in sorted(m.linear):
-            gates.append(Gate("RZ", (k,), gamma(m.linear[k])))
-        for j, k in sorted(m.quadratic):
-            w = m.quadratic[(j, k)]
-            gates.append(Gate("CNOT", (j, k)))
-            gates.append(Gate("RZ", (k,), gamma(w)))
-            gates.append(Gate("CNOT", (j, k)))
+        for qubits, scale in terms:
+            gamma = Param("gamma", layer, scale)
+            if len(qubits) == 1:
+                gates.append(Gate("RZ", qubits, gamma))
+            else:
+                j, k = qubits
+                gates.append(Gate("CNOT", (j, k)))
+                gates.append(Gate("RZ", (k,), gamma))
+                gates.append(Gate("CNOT", (j, k)))
         beta = Param("beta", layer, 2.0)
         for q in range(1, m.num_qubits + 1):
             gates.append(Gate(mixer, (q,), beta))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -49,6 +50,21 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text + "\n")
     except OSError as exc:
         raise MalformedInput(f"cannot write {path}: {exc}") from exc
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path that names a directory or lies in a missing
+    one before the command does any work; ``_write`` still reports what
+    this cannot see, such as permissions or a full disk."""
+    for name in ("out", "csv", "trace_csv"):
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise MalformedInput(f"cannot write {path}: it is a directory")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise MalformedInput(f"cannot write {path}: no directory {folder}")
 
 
 def parse_noise(spec: str) -> NoiseModel:
@@ -420,6 +436,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except TooManyQubits as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,10 +49,11 @@ class DiagonalHamiltonian:
     @classmethod
     def from_ising(cls, m: IsingModel) -> "DiagonalHamiltonian":
         terms = []
-        for k in sorted(m.linear):
-            terms.append((1 << (k - 1), float(m.linear[k])))
-        for j, k in sorted(m.quadratic):
-            terms.append(((1 << (j - 1)) | (1 << (k - 1)), float(m.quadratic[(j, k)])))
+        for qubits, c in m.terms():
+            mask = 0
+            for k in qubits:
+                mask |= 1 << (k - 1)
+            terms.append((mask, float(c)))
         return cls(m.num_qubits, tuple(terms), float(m.constant))
 
     def energies(self) -> np.ndarray:

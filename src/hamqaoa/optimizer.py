@@ -3,9 +3,9 @@
 The simplex method is self-contained (reflection / expansion /
 contraction / shrink with standard coefficients) and written as an
 ask/tell generator; ``minimize`` drives it through random restarts drawn
-from [0, 2pi).  Restarts share a global evaluation budget; the best
-restart wins, ties broken by lowest restart index.  Restarts whose share
-of that budget is fixed may run in lockstep, one batch of points per
+from [0, 2pi).  Restarts share a global evaluation budget, split before
+the first evaluation; the best restart wins, ties broken by lowest
+restart index.  Restarts may run in lockstep, one batch of points per
 call of the objective; ``qaoa_solve`` does so for the exact noiseless
 objective on registers where a batch of states is faster than one state
 at a time, and the result is the same as running them one by one.
@@ -31,7 +31,7 @@ from .engine import (
     sample,
     simulate_noisy,
 )
-from .hamiltonian import DiagonalHamiltonian, full_spectrum
+from .hamiltonian import DiagonalHamiltonian, check_qubits, full_spectrum
 from .qubo import IsingModel
 
 TWO_PI = 2.0 * np.pi
@@ -140,12 +140,12 @@ def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
     deterministic.  Raises ValueError if f never returns a value below +inf.
 
     Each restart may spend ``max(d + 2, max_evals // restarts)``
-    evaluations, cut to what the budget has left.  With ``width`` > 1,
-    up to ``width`` restarts whose budget is that whole share run in
-    lockstep: f takes their next points as one (n, d) array and returns
-    n values, and the others wait for every earlier restart to end.  For
-    an f without side effects the result does not depend on ``width``;
-    at width 1, f takes one point at a time, in restart order.
+    evaluations, cut to what the earlier restarts leave of the budget; a
+    restart left nothing never starts.  Up to ``width`` restarts run in
+    lockstep, joining in restart order as slots free up: f takes their
+    next points as one (n, d) array and returns n values.  For an f
+    without side effects the result does not depend on ``width``; at
+    width 1, f takes one point at a time, in restart order.
     """
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
@@ -154,22 +154,22 @@ def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
     if width < 1:
         raise ValueError("width must be >= 1")
     per_restart = max(d + 2, cfg.max_evals // cfg.restarts)
+    # Only a share of d + 2 can overrun max_evals: max_evals // restarts
+    # shares always fit.  No simplex converges within d + 2 evaluations, as
+    # at its first two convergence tests some vertices still differ by the
+    # initial step (at least 0.25, far above XTOL); so every restart before
+    # a cut one spends its whole share.  Restarts left nothing never start.
+    restarts = min(cfg.restarts, -(-cfg.max_evals // per_restart))
+    budgets = [min(per_restart, cfg.max_evals - r * per_restart) for r in range(restarts)]
     runs: list[_Restart] = []
     running: list[_Restart] = []
-    used = 0
     while True:
-        while len(runs) < cfg.restarts and len(running) < width:
+        while len(runs) < len(budgets) and len(running) < width:
             r = len(runs)
-            if (r + 1) * per_restart <= cfg.max_evals:
-                budget = per_restart
-            elif running or used >= cfg.max_evals:
-                break
-            else:
-                budget = min(per_restart, cfg.max_evals - used)
             start = x0
             if r > 0:
                 start = TWO_PI * np.random.default_rng((cfg.seed, r)).random(d)
-            runs.append(_Restart(start, budget))
+            runs.append(_Restart(start, budgets[r]))
             running.append(runs[-1])
         if not running:
             break
@@ -183,22 +183,19 @@ def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
                 )
         for run, v in zip(running, values):
             run.tell(float(v))
-        used += len(running)
         running = [run for run in running if not run.done]
 
     values = [v for run in runs for v in run.values]
-    best_x, best_f, best_converged = None, np.inf, False
-    for run in runs:
-        if run.best_f < best_f:
-            best_x, best_f, best_converged = run.best_x, run.best_f, run.converged
-    if best_x is None:
+    # min keeps the first of equal values: ties go to the lowest restart
+    best = min(runs, key=lambda run: run.best_f)
+    if best.best_x is None:
         raise ValueError("the objective returned no finite value")
     return OptimizationResult(
-        best_params=best_x,
-        best_value=best_f,
+        best_params=best.best_x,
+        best_value=best.best_f,
         trace=list(enumerate(values, start=1)),
         evals_used=len(values),
-        converged=best_converged,
+        converged=best.converged,
     )
 
 
@@ -265,6 +262,7 @@ def qaoa_solve(
     """
     cfg = cfg or OptimizerConfig()
     check_shots(shots)
+    check_qubits(m.num_qubits)
     circuit = build_ansatz(m, p, mixer)
     mixer = circuit.mixer_kind
     h = DiagonalHamiltonian.from_ising(m)
@@ -292,7 +290,7 @@ def qaoa_solve(
     # seed each call by its index, so they keep one call per point.
     width = 1
     if not (noisy or sampled_objective):
-        width = min(cfg.restarts, lockstep_rows(h.num_qubits))
+        width = lockstep_rows(h.num_qubits)
 
     if p == 0:
         params = np.zeros(0)

@@ -164,6 +164,14 @@ class IsingModel:
             self, "quadratic", {k: c for k, c in self.quadratic.items() if c != 0}
         )
 
+    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(qubits, coefficient) of every Z term: linear terms by qubit, then
+        quadratic terms by pair.  This one order fixes the rounding of the
+        float energies, the gate order and the term-list output."""
+        return [((k,), self.linear[k]) for k in sorted(self.linear)] + [
+            (jk, self.quadratic[jk]) for jk in sorted(self.quadratic)
+        ]
+
     def energy(self, bits: str) -> Fraction:
         """Exact energy of a computational-basis state ('1' means Z = -1)."""
         check_assignment(bits, self.num_qubits)
@@ -233,18 +241,14 @@ def strip_constant(m: IsingModel, rescale=1) -> IsingModel:
 def to_term_list(m: IsingModel) -> list[tuple[str, Fraction]]:
     """Pauli strings over {I, Z}, leftmost character = qubit 1.
 
-    Order: linear terms by qubit, then quadratic terms lexicographically.
+    In the order of ``IsingModel.terms``.
     """
     terms = []
-    for k in sorted(m.linear):
+    for qubits, c in m.terms():
         s = ["I"] * m.num_qubits
-        s[k - 1] = "Z"
-        terms.append(("".join(s), m.linear[k]))
-    for j, k in sorted(m.quadratic):
-        s = ["I"] * m.num_qubits
-        s[j - 1] = "Z"
-        s[k - 1] = "Z"
-        terms.append(("".join(s), m.quadratic[(j, k)]))
+        for k in qubits:
+            s[k - 1] = "Z"
+        terms.append(("".join(s), c))
     return terms
 
 

@@ -266,6 +266,14 @@ def test_spectrum_resource_cap(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["compare", "--axis", "mixer"]])
+def test_term_file_past_the_simulator_cap_exits_3(argv, capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"num_qubits": 10**8, "terms": []}))
+    assert main([*argv, "--terms", str(path)]) == 3
+    assert "exceeds simulator cap 24" in capsys.readouterr().err
+
+
 def test_compile_spectrum_pipe_consistency(capsys, triangle_file, tmp_path):
     terms_file = tmp_path / "compiled.json"
     code, _ = run(capsys, "compile", "--graph", triangle_file, "--out", str(terms_file))
@@ -360,6 +368,40 @@ def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, 
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", *_QUICK_SOLVE, "--csv", "{missing}/out.csv"],
+        ["solve", *_QUICK_SOLVE, "--trace-csv", "{tmp}"],
+        ["compare", "--axis", "mixer", *_QUICK_SOLVE, "--csv", "{missing}/out.csv"],
+    ],
+    ids=["solve-csv-in-missing-directory", "solve-trace-csv-is-a-directory", "compare-csv"],
+)
+def test_unwritable_output_is_refused_before_the_solve(
+    argv, capsys, triangle_file, tmp_path, monkeypatch
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the solve started before the output paths were checked")
+
+    monkeypatch.setattr(hamqaoa.optimizer, "minimize", must_not_run)
+    missing = tmp_path / "missing"
+    argv = [a.format(triangle=triangle_file, missing=missing, tmp=tmp_path) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert not missing.exists()
+
+
+def test_bad_csv_leaves_an_existing_out_file_untouched(capsys, triangle_file, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+    argv = [a.format(triangle=triangle_file) for a in _QUICK_SOLVE]
+    code = main(["solve", *argv, "--out", str(out), "--csv", str(tmp_path / "missing" / "o.csv")])
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert out.read_text() == "earlier report\n"
 
 
 @pytest.mark.parametrize("command", ["compile", "spectrum", "solve"])

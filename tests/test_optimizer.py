@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamqaoa import (
     DiagonalHamiltonian,
@@ -16,6 +18,7 @@ from hamqaoa import (
     simulate_noisy,
 )
 from hamqaoa import engine, optimizer
+from hamqaoa.errors import TooManyQubits
 from oracles import closure_minimize
 
 
@@ -182,14 +185,70 @@ def test_lockstep_convergence_on_the_last_evaluation_of_the_budget():
         assert outcome(lockstep) == outcome(minimize(bowl, x0, cfg))
 
 
-def test_restarts_with_a_budget_left_over_wait_for_the_earlier_ones():
-    # per restart max(4, 10 // 3) = 4: restarts 0 and 1 have a fixed
-    # budget and run together; restart 2 gets the 2 evaluations left
+def test_a_cut_restart_joins_the_lockstep_window_at_once():
+    # per restart max(4, 10 // 3) = 4: restarts 0 and 1 get 4 evaluations
+    # and restart 2 the 2 left; all three run together from the first call
     batched = rows_of(bowl)
     cfg = OptimizerConfig(max_evals=10, restarts=3, seed=1)
     r = minimize(batched, np.zeros(2), cfg, width=3)
-    assert batched.calls == [2, 2, 2, 2, 1, 1]
+    assert batched.calls == [3, 3, 2, 2]
     assert outcome(r) == outcome(closure_minimize(bowl, np.zeros(2), cfg))
+
+
+def valley(x):
+    # Rosenbrock's valley along consecutive coordinates; constant at d = 1
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+RANDOM_OBJECTIVES = {
+    "bowl": bowl,
+    "constant": lambda x: 7.5,
+    "nan-region": nan_beyond_two,
+    "nan-everywhere": lambda x: float("nan"),
+    "valley": valley,
+}
+X0_SCALES = [0.0, 1e-13, 1.0, 1e3, 1e10]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    max_evals=st.integers(1, 79),
+    restarts=st.integers(1, 9),
+    width=st.integers(1, 4),
+    name=st.sampled_from(sorted(RANDOM_OBJECTIVES)),
+    scale=st.sampled_from(X0_SCALES),
+    seed=st.integers(0, 2**16),
+)
+def test_fixed_budgets_match_closure_oracle(d, max_evals, restarts, width, name, scale, seed):
+    f = RANDOM_OBJECTIVES[name]
+    x0 = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+    cfg = OptimizerConfig(max_evals=max_evals, restarts=restarts, seed=seed)
+    expected = closure_minimize(f, x0, cfg)
+    try:
+        r = minimize(rows_of(f) if width > 1 else f, x0, cfg, width=width)
+    except ValueError as exc:
+        assert "no finite value" in str(exc) and expected.best_value == np.inf
+        return
+    assert outcome(r) == outcome(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    name=st.sampled_from(sorted(RANDOM_OBJECTIVES)),
+    scale=st.sampled_from(X0_SCALES),
+    seed=st.integers(0, 2**16),
+)
+def test_no_restart_converges_within_d_plus_2_evaluations(d, name, scale, seed):
+    # the premise of fixing every budget up front: a restart given d + 2
+    # evaluations spends them all, so the budget after it is known
+    f = RANDOM_OBJECTIVES[name]
+    run = optimizer._Restart(scale * np.random.default_rng(seed).uniform(-1.0, 1.0, d), d + 2)
+    while not run.done:
+        run.tell(f(run.x))
+    assert len(run.values) == d + 2
+    assert not run.converged
 
 
 def test_lockstep_width_and_objective_shape_are_checked():
@@ -283,7 +342,7 @@ def test_exact_solves_batch_restarts_and_others_do_not(
         ring = {(k, k + 1): Fraction(1) for k in range(1, q)} | {(1, q): Fraction(1)}
         qaoa_solve(IsingModel(q, Fraction(0), {}, ring), 1, cfg=OptimizerConfig(max_evals=6))
     assert engine.lockstep_rows(9) == 3 and engine.lockstep_rows(10) == 1
-    assert widths == [3, 3, 9, 1, 1, 3, 1]
+    assert widths == [96, 3, 96, 1, 1, 3, 1]
 
 
 def test_wrapped_minimize_sees_one_objective_call_per_lockstep_round(
@@ -318,6 +377,20 @@ def test_solve_checks_shots_before_any_work(p, shots, square_fixture_model, monk
     monkeypatch.setattr(optimizer, "qaoa_state", must_not_run)
     with pytest.raises(ValueError, match="shots"):
         qaoa_solve(square_fixture_model, p, shots=shots)
+
+
+def test_solve_checks_the_simulator_cap_before_building_the_ansatz():
+    # an empty model needs no terms to name 10^8 qubits; its Hadamard row
+    # alone would take gigabytes
+    m = IsingModel(10**8, Fraction(0), {}, {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyQubits, match="simulator cap 24"):
+            qaoa_solve(m, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_triangle_solve_finds_solutions(triangle_model):
