@@ -68,20 +68,24 @@ def _check_outputs(args) -> None:
 
 
 def parse_noise(spec: str) -> NoiseModel:
-    """Parse 'p1=0.001,p2=0.01,ro=0.01' into a NoiseModel."""
-    values = {"p1": 0.0, "p2": 0.0, "ro": 0.0}
+    """Parse 'p1=0.001,p2=0.01,ro=0.01' into a NoiseModel; each component
+    at most once, and 0 where absent."""
+    keys = ("p1", "p2", "ro")  # NoiseModel's fields, in order
+    values: dict[str, float] = {}
     for part in spec.split(","):
         if not part:
             continue
         key, _, val = part.partition("=")
-        if key not in values or not val:
+        if key not in keys or not val:
             raise MalformedInput(f"bad noise component {part!r}")
+        if key in values:
+            raise MalformedInput(f"noise component {key!r} given twice")
         try:
             values[key] = float(val)
         except ValueError as exc:
             raise MalformedInput(f"bad noise value {part!r}") from exc
     try:
-        return NoiseModel(p1=values["p1"], p2=values["p2"], readout_flip=values["ro"])
+        return NoiseModel(*(values.get(k, 0.0) for k in keys))
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
 

@@ -18,9 +18,9 @@ arithmetic of a replay of its own, so counts do not depend on batching.
 ``qaoa_state`` evolves one row of angles or a batch of rows through one
 routine, up to ``lockstep_rows(q)`` states at a time as the columns of
 one array, so that one numpy operation per gate serves them all; each
-state keeps the bytes it would have evolved alone.  A batch takes its
-cost phase once per distinct energy level and gathers it; a lone column
-(every state from q = 10) keeps the phase over all 2^q energies for now.
+state keeps the bytes it would have evolved alone.  Every cost layer,
+of a batch or of a lone column (every state from q = 10), takes its
+phase once per distinct energy level and gathers it.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -29,6 +29,7 @@ that a zero-noise trajectory run reproduces noiseless sampling exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,12 +270,14 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     """The states of the (B, p) angle rows as the columns of one C-ordered
     (2^q, B) array, each with the bytes of a state evolved alone.
 
-    A lone column takes the flat phase ``state * np.exp(...)`` over all
-    2^q shifted energies, whose temporary numpy reuses from 256 KiB on,
-    swapping the operands as for a state evolved alone.  A batch takes one
-    ``exp`` per distinct energy level (``shifted_levels()``), gathered
-    into the phase; every entry is the same product of the same bytes.
-    Every mixer layer updates all columns together, by the mixer's kind.
+    Each cost layer takes one ``exp`` per distinct energy level and
+    column (``shifted_levels()``), gathered into a fresh (2^q, B) phase:
+    every entry is the same product of the same bytes as over all 2^q
+    energies.  The form ``state * <fresh phase>`` matters: numpy reuses a
+    temporary of 256 KiB or more, which swaps the operands of the complex
+    multiply exactly as for a state evolved alone, while an in-place
+    multiply would not.  Every mixer layer updates all columns together,
+    by the mixer's kind.
     """
     q = h.num_qubits
     dim, (rows, p) = 1 << q, gammas.shape
@@ -288,16 +291,10 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     entries = np.array([_rotation(mixer, 2.0 * b) for b in betas.T.ravel().tolist()])
     entries = entries.reshape(p, rows, 4).transpose(0, 2, 1)[:, :, None, :]
     runs = np.repeat(entries, dim // 2 if rows > 1 else 1, axis=2)
-    if rows == 1:
-        energies = h.shifted_energies()
-    else:
-        levels, inverse = h.shifted_levels()
+    levels, inverse = h.shifted_levels()
     state = np.full((dim, rows), 1.0 / math.sqrt(dim), dtype=complex)
     for scale, mats in zip(scales, runs):
-        if rows == 1:
-            state = (state[:, 0] * np.exp(scale[0, 0] * energies))[:, None]
-        else:
-            state = state * np.exp(scale * levels).take(inverse, axis=1).T
+        state = state * np.exp(scale * levels).T.take(inverse, axis=0)
         for k in range(1, q + 1):
             _apply_1q(state, mats[:, : 1 << (k - 1)], k, kind)
     return state
@@ -333,10 +330,13 @@ def _draw_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def _counts(outcomes: np.ndarray, q: int) -> dict[str, int]:
     """Bitstring counts of outcome indices, keyed in order of first
-    occurrence; only distinct outcomes are turned into strings."""
+    occurrence; only distinct outcomes are turned into strings.  Keys are
+    interned, so every distribution held for one register shares one
+    string per outcome."""
     values, first, counts = np.unique(outcomes, return_index=True, return_counts=True)
     order = np.argsort(first)
-    return dict(zip(_bit_strings(values[order], q), counts[order].tolist()))
+    keys = map(sys.intern, _bit_strings(values[order], q))
+    return dict(zip(keys, counts[order].tolist()))
 
 
 def sample(s: Statevector, shots: int, seed: int) -> Distribution:

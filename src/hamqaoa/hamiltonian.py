@@ -39,9 +39,6 @@ class DiagonalHamiltonian:
     _energies: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _shifted: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _levels: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -84,24 +81,16 @@ class DiagonalHamiltonian:
             object.__setattr__(self, "_energies", out)
         return self._energies
 
-    def shifted_energies(self) -> np.ndarray:
-        """``energies() - constant``: the energies a cost layer's phase
-        uses, since the gate list drops the constant.  Computed on the
-        first call; every call returns that same read-only array."""
-        if self._shifted is None:
-            out = self.energies() - self.constant
-            out.flags.writeable = False
-            object.__setattr__(self, "_shifted", out)
-        return self._shifted
-
     def shifted_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(levels, inverse)``: the distinct shifted energies, sorted, and
-        the index of each basis state's level, so that ``levels[inverse]``
-        is ``shifted_energies()``.  A cost phase then takes one ``exp`` per
-        level.  Computed on the first call; every call returns that same
-        pair of read-only arrays."""
+        """``(levels, inverse)``: the distinct energies less the constant
+        (which the gate list drops), sorted, and the index of each basis
+        state's level, so that ``levels[inverse]`` is ``energies() -
+        constant``.  Every cost phase takes one ``exp`` per level.
+        Computed on the first call; every call returns that same pair of
+        read-only arrays."""
         if self._levels is None:
-            levels, inverse = np.unique(self.shifted_energies(), return_inverse=True)
+            shifted = self.energies() - self.constant
+            levels, inverse = np.unique(shifted, return_inverse=True)
             levels.flags.writeable = False
             inverse.flags.writeable = False
             object.__setattr__(self, "_levels", (levels, inverse))

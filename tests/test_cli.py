@@ -327,6 +327,10 @@ def test_parse_noise():
     assert parse_noise("p2=0.5").p1 == 0.0
     with pytest.raises(MalformedInput):
         parse_noise("p3=1")
+    # a repeated component is refused, not overwritten by its last value
+    for spec in ("p1=0.1,p1=0.2", "p1=0.001,p1=0.01", "ro=0,p2=0.1,ro=0"):
+        with pytest.raises(MalformedInput, match="given twice"):
+            parse_noise(spec)
 
 
 _QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-evals", "4"]
@@ -336,6 +340,7 @@ _QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-eva
     "argv, message",
     [
         (["solve", "--noise", "p1=abc", "--graph", "{triangle}"], "bad noise value"),
+        (["solve", "--noise", "p1=0.1,p1=0.2", "--graph", "{triangle}"], "given twice"),
         (["spectrum"], "need --graph or --terms"),
         (["spectrum", "--terms", "{not_json}"], "invalid JSON"),
         (["solve", "--shots", "0", "--graph", "{triangle}"], "shots must be in"),
@@ -354,9 +359,9 @@ _QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-eva
         ),
     ],
     ids=[
-        "noise-value", "no-model", "terms-not-json", "zero-shots", "layers-past-cap",
-        "compile-out", "spectrum-out", "spectrum-csv", "solve-csv", "solve-trace-csv",
-        "compare-csv",
+        "noise-value", "noise-repeated", "no-model", "terms-not-json", "zero-shots",
+        "layers-past-cap", "compile-out", "spectrum-out", "spectrum-csv", "solve-csv",
+        "solve-trace-csv", "compare-csv",
     ],
 )
 def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, argv, message):

@@ -60,12 +60,10 @@ def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_shifted_energies_are_cached_read_only_and_exact(square_fixture_model):
+def test_level_table_gathers_the_shifted_energies_exactly(square_fixture_model):
     h = DiagonalHamiltonian.from_ising(square_fixture_model)
-    shifted = h.shifted_energies()
-    assert shifted is h.shifted_energies()
-    assert not shifted.flags.writeable
-    assert shifted.tobytes() == (h.energies() - h.constant).tobytes()
+    levels, inverse = h.shifted_levels()
+    assert levels[inverse].tobytes() == (h.energies() - h.constant).tobytes()
 
 
 def test_triangle_spectrum(triangle_model):
