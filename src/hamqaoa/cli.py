@@ -436,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         _check_outputs(args)
         return args.func(args)
@@ -447,6 +445,20 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE_CAP
     except (HamqaoaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+
+
+def main(argv=None) -> int:
+    try:
+        try:
+            return _run(build_parser().parse_args(argv))
+        finally:
+            sys.stdout.flush()  # --help and --version exit through here too
+    except BrokenPipeError as exc:
+        # the reader closed stdout early; pointing stdout at devnull leaves
+        # the interpreter's last flush nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -16,11 +16,13 @@ operation per gate serves a whole batch.  Each replayed state sees the
 arithmetic of a replay of its own, so counts do not depend on batching.
 
 ``qaoa_state`` evolves one row of angles or a batch of rows through one
-routine, up to ``lockstep_rows(q)`` states at a time as the columns of
-one array, so that one numpy operation per gate serves them all; each
-state keeps the bytes it would have evolved alone.  Every cost layer,
-of a batch or of a lone column (every state from q = 10), takes its
-phase once per distinct energy level and gathers it.
+routine, up to ``lockstep_rows(q)`` states at a time as the rows of one
+array, so that one numpy operation per step serves them all; each state
+keeps the bytes it would have evolved alone.  Every cost layer takes its
+phase once per distinct energy level and gathers it.  Up to 9 qubits,
+where rows share batches, each mixer layer is a few Kronecker blocks of
+at most 4 qubits, one stacked matmul per block; a lone column (every
+state from q = 10) takes one 2x2 rotation per qubit.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -155,8 +157,7 @@ def _apply_1q(states: np.ndarray, m, k: int, kind: int) -> None:
     shape (2^q, B), in C or F order (``_replay`` passes the F-ordered
     gather ``batch[:, cols]``).  Only axis 0 is split, into half pairs of
     2^(k-1) rows, so the view never copies.  Each entry of ``m`` is a
-    Python number, or an array that broadcasts against a (2^(k-1), B) half
-    pair: one matrix per column, its entry repeated along the rows.
+    Python number.
 
     Products keep the scalar on the left, as numpy's fused complex
     multiply rounds by operand order, and every amplitude gets
@@ -237,15 +238,15 @@ def simulate(c: ParamCircuit) -> Statevector:
 def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
     """Fast QAOA evolution using the diagonality of the cost Hamiltonian.
 
-    Each cost layer is a single elementwise phase; mixer layers apply one
-    rotation per qubit.  Matches gate-by-gate simulation of the built
-    ansatz exactly (the constant term is excluded, as the gate list also
-    drops it).
+    Each cost layer is a single elementwise phase; each mixer layer is a
+    few Kronecker blocks up to 9 qubits and one rotation per qubit from
+    10.  Matches gate-by-gate simulation of the built ansatz to rounding
+    (the constant term is excluded, as the gate list also drops it).
 
     ``gammas`` and ``betas`` of shape (p,) give one state; of shape (B, p),
     one state per row, returned as the rows of (B, 2^q) amplitudes, each
     byte-identical to a call on its row alone.  All rows go through one
-    routine, ``lockstep_rows(q)`` at a time as the columns of one array.
+    routine, ``lockstep_rows(q)`` at a time as the rows of one array.
     """
     mixer = check_mixer(mixer)
     q = h.num_qubits
@@ -257,46 +258,118 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
         )
     if gammas.ndim == 1:
         state = _evolve_lockstep(h, gammas[None], betas[None], mixer)
-        return Statevector(state[:, 0], q)
+        return Statevector(state[0], q)
     out = np.empty((len(gammas), 1 << q), dtype=complex)
     per_batch = lockstep_rows(q)
     for lo in range(0, len(out), per_batch):
         rows = slice(lo, lo + per_batch)
-        out[rows] = _evolve_lockstep(h, gammas[rows], betas[rows], mixer).T
+        out[rows] = _evolve_lockstep(h, gammas[rows], betas[rows], mixer)
     return Statevector(out, q)
 
 
-def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.ndarray:
-    """The states of the (B, p) angle rows as the columns of one C-ordered
-    (2^q, B) array, each with the bytes of a state evolved alone.
+def _block_indices(b: int) -> dict:
+    """Per mixer, the (2^b, 2^b) index of each block entry [i, j] into the
+    entries of one layer and row (``_block_tables``): w = popcount(i ^ j)
+    for RX, and w plus b + 1 where popcount(j & ~i) is odd for RY."""
+    ones = np.array([bin(v).count("1") for v in range(1 << b)])
+    i, j = np.arange(1 << b)[:, None], np.arange(1 << b)
+    flips = ones[i ^ j]
+    return {"RX": flips, "RY": flips + (b + 1) * (ones[j & ~i] % 2)}
 
-    Each cost layer takes one ``exp`` per distinct energy level and
-    column (``shifted_levels()``), gathered into a fresh (2^q, B) phase:
-    every entry is the same product of the same bytes as over all 2^q
-    energies.  The form ``state * <fresh phase>`` matters: numpy reuses a
-    temporary of 256 KiB or more, which swaps the operands of the complex
-    multiply exactly as for a state evolved alone, while an in-place
-    multiply would not.  Every mixer layer updates all columns together,
-    by the mixer's kind.
+
+# Most qubits of one mixer block, and the block indices of each size
+_BLOCK_QUBITS = 4
+_BLOCK_INDICES = {b: _block_indices(b) for b in range(1, _BLOCK_QUBITS + 1)}
+# Real and imaginary part of each block entry's factor, per sign (RY
+# only) and count w of flipped bits: (-i)^w for RX, +1 and -1 for RY
+_ENTRY_FACTORS = {
+    "RX": np.array([[((1, 0), (0, -1), (-1, 0), (0, 1))[w % 4] for w in range(5)]], float),
+    "RY": np.array([[(1, 0)] * 5, [(-1, 0)] * 5], float),
+}
+
+
+def _block_sizes(q: int) -> tuple:
+    """Qubits per mixer block, lowest block first: the fewest blocks of at
+    most ``_BLOCK_QUBITS`` qubits, as equal as possible."""
+    n = -(-q // _BLOCK_QUBITS)
+    return tuple(q // n + (i < q % n) for i in range(n))
+
+
+def _block_tables(mixer: str, betas, sizes) -> dict:
+    """For each block size b, every layer's and column's 2^b x 2^b mixer
+    block, the Kronecker product of b copies of ``_rotation(mixer, 2 beta)``,
+    as an array of shape (p, B, 2^b, 2^b).
+
+    Entry [i, j] is c^(b-w) s^w with w = popcount(i ^ j), times (-i)^w for
+    RX and (-1)^popcount(j & ~i) for RY, c and s the cosine and sine of
+    beta.  The powers are taken once per call for all layers, by running
+    products, and gathered through ``_BLOCK_INDICES``.
+    """
+    top = max(sizes, default=0)
+    # per layer and column: c^k and s^k for k = 0..top, multiplied up
+    powers = np.empty((*betas.T.shape, 2, top + 1))
+    powers[..., 0] = 1.0
+    powers[..., 0, 1:] = np.cos(betas.T)[..., None]
+    powers[..., 1, 1:] = np.sin(betas.T)[..., None]
+    for k in range(2, top + 1):
+        powers[..., k] *= powers[..., k - 1]
+    tables = {}
+    for b in set(sizes):
+        terms = powers[..., 0, b::-1] * powers[..., 1, : b + 1]  # c^(b-w) s^w
+        factors = _ENTRY_FACTORS[mixer][:, : b + 1]
+        entries = (terms[..., None, :, None] * factors).view(complex)
+        entries = entries.reshape(*terms.shape[:-1], factors.size // 2)
+        tables[b] = entries.take(_BLOCK_INDICES[b][mixer], axis=-1)
+    return tables
+
+
+def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.ndarray:
+    """The states of the (B, p) angle rows as the rows of one C-ordered
+    (B, 2^q) array, each with the bytes of its row evolved alone.
+
+    Each cost layer takes one ``exp`` per distinct energy level and row
+    (``shifted_levels()``), gathered into a fresh (B, 2^q) phase: every
+    entry is the same product of the same bytes as over all 2^q energies.
+    The form ``state * <fresh phase>`` matters: numpy reuses a temporary
+    of 256 KiB or more, which swaps the operands of the complex multiply
+    exactly as for a state evolved alone, while an in-place multiply
+    would not.
+
+    Where rows share batches (``lockstep_rows(q) > 1``, up to 9 qubits),
+    each mixer layer is a Kronecker block U per ``_block_sizes(q)`` entry
+    (``_block_tables``), one stacked matmul per block: the lowest block
+    as ``x @ U.T`` on (B, high, 2^b), every other as ``U @ x`` on (B,
+    high, 2^b, low).  Each row's products are those of the row alone, and
+    no GEMM has more than 4,096 multiply-adds (m n k), far below where
+    OpenBLAS splits one across threads.  A lone column (from 10 qubits)
+    takes one 2x2 rotation per qubit.
     """
     q = h.num_qubits
-    dim, (rows, p) = 1 << q, gammas.shape
+    dim, rows = 1 << q, len(gammas)
     scales = (-1j * gammas).T[:, :, None]
-    kind = _KIND[mixer]
-    # each column's entries m00, m01, m10, m11 repeated along the longest
-    # half pair, 2^(q-1) rows (a lone column's one row broadcasts), so
-    # qubit k's are the first 2^(k-1) rows of each.  Broadcasting (B,)
-    # entries gives the same bytes but ran 7-34% slower at q = 4..9 (3
-    # rows, p = 2..8): its inner loops are B long.
-    entries = np.array([_rotation(mixer, 2.0 * b) for b in betas.T.ravel().tolist()])
-    entries = entries.reshape(p, rows, 4).transpose(0, 2, 1)[:, :, None, :]
-    runs = np.repeat(entries, dim // 2 if rows > 1 else 1, axis=2)
     levels, inverse = h.shifted_levels()
-    state = np.full((dim, rows), 1.0 / math.sqrt(dim), dtype=complex)
-    for scale, mats in zip(scales, runs):
-        state = state * np.exp(scale * levels).T.take(inverse, axis=0)
-        for k in range(1, q + 1):
-            _apply_1q(state, mats[:, : 1 << (k - 1)], k, kind)
+    state = np.full((rows, dim), 1.0 / math.sqrt(dim), dtype=complex)
+    if lockstep_rows(q) == 1:
+        kind = _KIND[mixer]
+        for scale, beta in zip(scales, betas[0].tolist()):
+            state = state * np.exp(scale * levels).take(inverse, axis=1)
+            mat = _rotation(mixer, 2.0 * beta)
+            for k in range(1, q + 1):
+                _apply_1q(state[0], mat, k, kind)
+        return state
+    sizes = _block_sizes(q)
+    tables = _block_tables(mixer, betas, sizes)
+    for layer, scale in enumerate(scales):
+        state = state * np.exp(scale * levels).take(inverse, axis=1)
+        low = 0
+        for b in sizes:
+            u = tables[b][layer]
+            if low:
+                state = u[:, None] @ state.reshape(rows, -1, 1 << b, 1 << low)
+            else:
+                state = state.reshape(rows, -1, 1 << b) @ u.transpose(0, 2, 1)
+            low += b
+        state = state.reshape(rows, dim)
     return state
 
 

@@ -451,6 +451,35 @@ def test_module_entry_point_exit_codes(triangle_file, argv, code):
         assert json.loads(proc.stdout)["ground_states"] == ["0110", "1001"]
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--graph", "triangle.json"],
+        ["compile", "--graph", "triangle.json"],
+        ["solve", "--graph", "triangle.json", "--p", "1", "--max-evals", "5"],
+    ],
+    ids=["spectrum", "compile", "solve"],
+)
+def test_closed_stdout_exits_2_without_traceback(triangle_file, argv, unbuffered):
+    # the reader is gone before the first write, as after ``| head -n 1``
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = str(Path(hamqaoa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamqaoa.cli", *argv],
+            cwd=Path(triangle_file).parent, env=env, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
 def test_compare_identical_mixers(capsys, triangle_file):
     obj = run_json(
         capsys,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from hamqaoa import (
 from hamqaoa import engine
 from hamqaoa.circuit import Gate, ParamCircuit
 from hamqaoa.errors import DimensionMismatch, TooManyQubits, UnboundParameter
+from hamqaoa.qubo import IsingModel
 from oracles import (
     delta_tv,
     dense_statevector,
@@ -125,6 +127,16 @@ def random_hamiltonian(rng, q):
     return DiagonalHamiltonian(q, terms, float(rng.normal()))
 
 
+def assert_matches_the_oracle(state, h, gammas, betas, mixer):
+    # mixer blocks (q <= 9) round differently from the per-qubit oracle;
+    # lone columns (q >= 10) keep its bytes
+    single = single_qaoa_state(h, gammas, betas, mixer).amplitudes
+    if engine.lockstep_rows(h.num_qubits) > 1:
+        assert np.max(np.abs(state - single), initial=0.0) <= 1e-12
+    else:
+        assert state.tobytes() == single.tobytes()
+
+
 def assert_batches_match_the_oracle(h, rng):
     # B runs from 1 past the rows of one lockstep batch
     per_batch = engine.lockstep_rows(h.num_qubits)
@@ -137,9 +149,10 @@ def assert_batches_match_the_oracle(h, rng):
             assert batch.amplitudes.shape == (rows, 1 << h.num_qubits)
             assert values.shape == (rows,)
             for r in range(rows):
-                single = single_qaoa_state(h, gammas[r], betas[r], mixer)
-                assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
-                assert repr(float(values[r])) == repr(expectation(single, h))
+                alone = qaoa_state(h, gammas[r], betas[r], mixer)
+                assert batch.amplitudes[r].tobytes() == alone.amplitudes.tobytes()
+                assert repr(float(values[r])) == repr(expectation(alone, h))
+                assert_matches_the_oracle(alone.amplitudes, h, gammas[r], betas[r], mixer)
 
 
 @pytest.mark.parametrize("q", range(15))
@@ -184,9 +197,8 @@ def test_single_rows_match_the_single_state_oracle(square_fixture_model):
     rng = np.random.default_rng(3)
     for mixer in ("RX", "RY"):
         gammas, betas = rng.uniform(-7, 7, 8), rng.uniform(-7, 7, 8)
-        single = single_qaoa_state(h, gammas, betas, mixer)
         fast = qaoa_state(h, list(gammas), list(betas), mixer)
-        assert fast.amplitudes.tobytes() == single.amplitudes.tobytes()
+        assert_matches_the_oracle(fast.amplitudes, h, gammas, betas, mixer)
 
 
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
@@ -202,8 +214,9 @@ def test_zero_beta_beside_nonzero_ones_matches_the_oracle(mixer, triangle_model)
     for gammas, betas in [(gammas, betas), (gammas4, betas4)]:
         batch = qaoa_state(h, gammas, betas, mixer)
         for r in range(len(gammas)):
-            single = single_qaoa_state(h, gammas[r], betas[r], mixer)
-            assert batch.amplitudes[r].tobytes() == single.amplitudes.tobytes()
+            alone = qaoa_state(h, gammas[r], betas[r], mixer).amplitudes
+            assert batch.amplitudes[r].tobytes() == alone.tobytes()
+            assert_matches_the_oracle(alone, h, gammas[r], betas[r], mixer)
 
 
 def test_qaoa_state_reads_the_cached_level_table(triangle_model, monkeypatch):
@@ -229,6 +242,58 @@ def test_lockstep_batches_stay_below_numpy_temporary_elision():
     # numpy reuses temporaries of 256 KiB or more, swapping the operands
     # of ``state * phase``; no lockstep batch may reach that size
     assert engine.LOCKSTEP_AMPLITUDES * np.dtype(complex).itemsize < 256 * 1024
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+@pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
+def test_block_tables_are_kronecker_products_of_rotations(b, mixer):
+    betas = np.array([[0.0, math.pi / 2, 0.7, -2.1], [1.3, -math.pi / 2, 5.9, 3e-9]])
+    tables = engine._block_tables(mixer, betas, (b,))[b]
+    assert tables.shape == (4, 2, 1 << b, 1 << b) and tables.flags.c_contiguous
+    for r, row in enumerate(betas):
+        for layer, beta in enumerate(row.tolist()):
+            m = np.array(engine._rotation(mixer, 2.0 * beta)).reshape(2, 2)
+            expected = np.ones((1, 1))
+            for _ in range(b):
+                expected = np.kron(m, expected)
+            assert np.max(np.abs(tables[layer, r] - expected)) <= 1e-15
+
+
+# mixer blocks run as GEMMs through OpenBLAS; their bytes must not depend
+# on its thread count, for batches and lone rows at every blocked width
+_QAOA_STATES_BY_THREADS = """
+import hashlib
+import numpy as np
+from hamqaoa import DiagonalHamiltonian, qaoa_state
+from hamqaoa.cli import reference_square_model
+from hamqaoa.engine import lockstep_rows
+rng = np.random.default_rng(0)
+models = []
+for q in range(10):
+    terms = tuple((int(rng.integers(1 << q)), float(rng.normal())) for _ in range(2 * q + 1))
+    models.append(DiagonalHamiltonian(q, terms, 0.0))
+models.append(DiagonalHamiltonian.from_ising(reference_square_model()))
+for h in models:
+    rows = lockstep_rows(h.num_qubits)
+    for mixer in ("RX", "RY"):
+        gammas, betas = rng.uniform(-7, 7, (2, rows + 1, 8))
+        batch = qaoa_state(h, gammas, betas, mixer).amplitudes.tobytes()
+        alone = qaoa_state(h, gammas[0], betas[0], mixer).amplitudes.tobytes()
+        print(h.num_qubits, mixer, hashlib.sha256(batch + alone).hexdigest())
+"""
+
+
+def test_qaoa_states_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(hamqaoa.__file__).parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _QAOA_STATES_BY_THREADS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_batched_angles_must_share_one_shape(triangle_model):
@@ -557,6 +622,10 @@ def test_exchange_symmetric_kernel_matches_general_kernel(q):
 def test_outputs_unchanged_through_general_kernel(
     triangle_model, square_fixture_model, monkeypatch
 ):
+    # from 10 qubits the mixer goes through _apply_1q
+    ring = {(k, k + 1): Fraction(k % 3 + 1) for k in range(1, 10)} | {(1, 10): Fraction(2)}
+    ring10 = IsingModel(10, Fraction(0), {3: Fraction(1)}, ring)
+
     def outputs():
         solves = [
             qaoa_solve(triangle_model, 2, "RX").to_json(),
@@ -564,6 +633,8 @@ def test_outputs_unchanged_through_general_kernel(
             qaoa_solve(
                 square_fixture_model, 8, "RX", cfg=OptimizerConfig(max_evals=300)
             ).to_json(),
+            qaoa_solve(ring10, 2, "RX", cfg=OptimizerConfig(max_evals=60)).to_json(),
+            qaoa_solve(ring10, 2, "RY", cfg=OptimizerConfig(max_evals=60)).to_json(),
         ]
         c = seeded_circuit(square_fixture_model, 8, "RX", 5)
         counts = simulate_noisy(c, BENCH_NOISE, 100, 9).counts
