@@ -20,6 +20,7 @@ from .engine import (
     SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
+    noise_record,
     simulate_noisy,
 )
 from .errors import HamqaoaError, MalformedInput, TooManyQubits
@@ -30,6 +31,7 @@ from .qubo import IsingModel, assemble, from_term_list, strip_constant, to_ising
 
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_CAP = 3
+_MIXER = dict(type=str.upper, choices=("RX", "RY"))  # read in either case, kept upper case
 
 
 def _read(path: str) -> str:
@@ -88,11 +90,6 @@ def parse_noise(spec: str) -> NoiseModel:
         return NoiseModel(*(values.get(k, 0.0) for k in keys))
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-
-
-def _noise_dict(nm: NoiseModel | None) -> dict | None:
-    """A noise model as the manifest records it."""
-    return None if nm is None else {"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip}
 
 
 def _finite(flag: str, value: float | None) -> float | None:
@@ -239,11 +236,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _solve_from_args(args, model, source, mixer=None, nm=None):
+def _solve_from_args(args, model, source, mixer, nm=None):
     cfg = OptimizerConfig(
         max_evals=args.max_evals, restarts=args.restarts, seed=args.seed
     )
-    mixer = (mixer or args.mixer).upper()
     manifest = _manifest(
         "solve",
         **source,
@@ -253,7 +249,7 @@ def _solve_from_args(args, model, source, mixer=None, nm=None):
         seed=args.seed,
         restarts=args.restarts,
         max_evals=args.max_evals,
-        noise=_noise_dict(nm),
+        noise=noise_record(nm),
         sampled_objective=args.sampled_objective,
     )
     return qaoa_solve(
@@ -271,7 +267,7 @@ def _solve_from_args(args, model, source, mixer=None, nm=None):
 def cmd_solve(args) -> int:
     model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     nm = parse_noise(args.noise) if args.noise else None
-    report = _solve_from_args(args, model, source, nm=nm)
+    report = _solve_from_args(args, model, source, args.mixer, nm)
     _write(report.to_json(), args.out)
     if args.csv:
         _write(_dist_csv(report.final_distribution), args.csv)
@@ -297,8 +293,8 @@ def _merged_csv(arms) -> str:
 
 # The compare flags that only one axis reads, with their defaults.
 _AXIS_FLAGS = {
-    "mixer": {"mixer_a": "rx", "mixer_b": "ry"},
-    "noise": {"mixer": "rx", "noise": None},
+    "mixer": {"mixer_a": "RX", "mixer_b": "RY"},
+    "noise": {"mixer": "RX", "noise": None},
 }
 
 
@@ -314,6 +310,8 @@ def _resolve_axis_flags(args) -> None:
                 setattr(args, name, default)
     if args.axis == "noise" and not args.noise:
         raise MalformedInput("--axis noise requires --noise")
+    if args.axis == "mixer" and args.mixer_a == args.mixer_b:
+        raise MalformedInput(f"--mixer-a and --mixer-b are both {args.mixer_a}; give two mixers")
 
 
 def cmd_compare(args) -> int:
@@ -321,19 +319,19 @@ def cmd_compare(args) -> int:
     _resolve_axis_flags(args)
     if args.axis == "mixer":
         reps = [
-            _solve_from_args(args, model, source, mixer=mixer)
+            _solve_from_args(args, model, source, mixer)
             for mixer in (args.mixer_a, args.mixer_b)
         ]
         body = {
-            key: {"mixer": rep.mixer, "report": json.loads(rep.to_json())}
+            key: {"mixer": rep.mixer, "report": rep.to_dict()}
             for key, rep in zip(("a", "b"), reps)
         }
-        arms = [(rep.mixer.lower(), rep.final_distribution) for rep in reps]
+        arms = [(rep.mixer, rep.final_distribution) for rep in reps]
         masses = {rep.mixer: rep.ground_state_mass for rep in reps}
         axis_params = dict(mixer_a=args.mixer_a, mixer_b=args.mixer_b, p=args.p)
     else:  # noise axis
         nm = parse_noise(args.noise)
-        rep = _solve_from_args(args, model, source)
+        rep = _solve_from_args(args, model, source, args.mixer)
         # Shared parameters: the noisy arm resamples the optimized circuit
         # through the trajectory engine instead of re-optimizing.
         best = rep.optimization.best_params
@@ -342,16 +340,16 @@ def cmd_compare(args) -> int:
         noisy_dist = simulate_noisy(bound, nm, args.shots, args.seed)
         noisy_mass = noisy_dist.mass(rep.ground_states)
         body = {
-            "noiseless": json.loads(rep.to_json()),
+            "noiseless": rep.to_dict(),
             "noisy": {
                 "counts": dict(sorted(noisy_dist.counts.items())),
                 "ground_state_mass": noisy_mass,
-                "noise": _noise_dict(nm),
+                "noise": noise_record(nm),
             },
         }
         arms = [("noiseless", rep.final_distribution), ("noisy", noisy_dist)]
         masses = {"noiseless": rep.ground_state_mass, "noisy": noisy_mass}
-        axis_params = dict(noise=_noise_dict(nm), p=args.p, mixer=args.mixer)
+        axis_params = dict(noise=noise_record(nm), p=args.p, mixer=args.mixer)
     obj = {
         "axis": args.axis,
         **body,
@@ -388,7 +386,7 @@ def _add_common(p: argparse.ArgumentParser, solve: bool = False) -> None:
     )
     if solve:
         p.add_argument("--p", type=int, default=2, help="QAOA layers")
-        p.add_argument("--mixer", choices=("rx", "ry"), default="rx")
+        p.add_argument("--mixer", **_MIXER, default="RX")
         p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=3)
@@ -428,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="paired runs along one axis")
     _add_common(p, solve=True)
     p.add_argument("--axis", choices=("mixer", "noise"), required=True)
-    p.add_argument("--mixer-a", choices=("rx", "ry"), help="--axis mixer only (default rx)")
-    p.add_argument("--mixer-b", choices=("rx", "ry"), help="--axis mixer only (default ry)")
+    p.add_argument("--mixer-a", **_MIXER, help="--axis mixer only (default RX)")
+    p.add_argument("--mixer-b", **_MIXER, help="--axis mixer only (default RY)")
     # defaults are filled in by _resolve_axis_flags, so that a flag the
     # axis ignores is refused only when it is given
     p.set_defaults(func=cmd_compare, mixer=None)

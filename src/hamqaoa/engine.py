@@ -115,6 +115,11 @@ class NoiseModel:
         return self.p1 == 0.0 and self.p2 == 0.0 and self.readout_flip == 0.0
 
 
+def noise_record(nm: NoiseModel | None) -> dict | None:
+    """A noise model as every JSON output records it, as --noise spells it."""
+    return None if nm is None else {"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip}
+
+
 @dataclass(frozen=True)
 class Distribution:
     counts: dict[str, int]

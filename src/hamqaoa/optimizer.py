@@ -27,6 +27,7 @@ from .engine import (
     check_shots,
     expectation,
     lockstep_rows,
+    noise_record,
     qaoa_state,
     sample,
     simulate_noisy,
@@ -214,19 +215,14 @@ class SolveReport:
     noise: NoiseModel | None = None
     manifest: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        """The report as its JSON output records it."""
+        return {
             "p": self.p,
             "mixer": self.mixer,
             "shots": self.shots,
             "seed": self.seed,
-            "noise": None
-            if self.noise is None
-            else {
-                "p1": self.noise.p1,
-                "p2": self.noise.p2,
-                "readout_flip": self.noise.readout_flip,
-            },
+            "noise": noise_record(self.noise),
             "best_params": [float(v) for v in self.optimization.best_params],
             "best_value": self.optimization.best_value,
             "evals_used": self.optimization.evals_used,
@@ -238,7 +234,9 @@ class SolveReport:
             "counts": dict(sorted(self.final_distribution.counts.items())),
             "manifest": self.manifest,
         }
-        return json.dumps(obj, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def qaoa_solve(

@@ -254,8 +254,9 @@ def to_term_list(m: IsingModel) -> list[tuple[str, Fraction]]:
 
 def _number(value, name: str) -> Fraction:
     """A term-list coefficient as a Fraction; a bool (JSON true, false)
-    is refused rather than read as 1 or 0."""
-    if isinstance(value, bool):
+    is refused rather than read as 1 or 0, and a string (JSON "1/3") rather
+    than parsed."""
+    if isinstance(value, (bool, str)):
         raise MalformedInput(f"{name} must be a number, got {value!r}")
     return Fraction(value)
 

@@ -249,14 +249,20 @@ def test_term_file_num_qubits_must_be_a_non_negative_integer(
 @pytest.mark.parametrize("command", ["spectrum", "solve"])
 @pytest.mark.parametrize(
     "terms, constant",
-    [([{"pauli": "ZZ", "coeff": True}], 0), ([{"pauli": "ZZ", "coeff": 1}], True)],
+    [
+        ([{"pauli": "ZZ", "coeff": True}], 0),
+        ([{"pauli": "ZZ", "coeff": 1}], True),
+        ([{"pauli": "ZZ", "coeff": "1/3"}], 0),
+        ([{"pauli": "ZZ", "coeff": 1}], "2"),
+    ],
 )
 def test_term_file_bool_coefficient_is_refused(command, terms, constant, capsys, tmp_path):
-    # JSON true is not the number 1
+    # JSON true is not the number 1, and the string "1/3" is not a number
     path = tmp_path / "terms.json"
     path.write_text(json.dumps({"num_qubits": 2, "terms": terms, "constant": constant}))
+    bad = terms[0]["coeff"] if constant == 0 else constant
     assert main([command, "--terms", str(path)]) == 2
-    assert "must be a number, got True" in capsys.readouterr().err
+    assert f"must be a number, got {bad!r}" in capsys.readouterr().err
 
 
 def test_spectrum_resource_cap(capsys, tmp_path):
@@ -313,7 +319,8 @@ def test_solve_with_noise(capsys, triangle_file):
         "--noise", "p1=0.001,p2=0.01,ro=0.01",
         "--shots", "300", "--max-evals", "40", "--restarts", "1",
     )
-    assert obj["noise"] == {"p1": 0.001, "p2": 0.01, "readout_flip": 0.01}
+    # the report spells the noise model as --noise and the manifest spell it
+    assert obj["noise"] == obj["manifest"]["noise"] == {"p1": 0.001, "p2": 0.01, "ro": 0.01}
 
 
 def test_solve_bad_noise_spec(capsys, triangle_file):
@@ -325,8 +332,15 @@ def test_parse_noise():
     nm = parse_noise("p1=0.001,p2=0.01,ro=0.02")
     assert (nm.p1, nm.p2, nm.readout_flip) == (0.001, 0.01, 0.02)
     assert parse_noise("p2=0.5").p1 == 0.0
+    # empty components are skipped
+    assert parse_noise("p1=0.1,,ro=0.2") == parse_noise("p1=0.1,ro=0.2")
+    assert parse_noise("p2=0.3,") == parse_noise("p2=0.3")
     with pytest.raises(MalformedInput):
         parse_noise("p3=1")
+    # a probability outside [0, 1] is refused by the name of its field
+    for spec, field in (("p1=1.5", "p1"), ("ro=-0.1", "readout_flip")):
+        with pytest.raises(MalformedInput, match=rf"^{field} must be in \[0, 1\]"):
+            parse_noise(spec)
     # a repeated component is refused, not overwritten by its last value
     for spec in ("p1=0.1,p1=0.2", "p1=0.001,p1=0.01", "ro=0,p2=0.1,ro=0"):
         with pytest.raises(MalformedInput, match="given twice"):
@@ -357,11 +371,18 @@ _QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-eva
             ["compare", "--axis", "mixer", *_QUICK_SOLVE, "--csv", "{missing}/out.csv"],
             "cannot write",
         ),
+        # a write that fails only once it is made: /dev/full takes the open
+        # and refuses the bytes, which no check before the work can see
+        pytest.param(
+            ["spectrum", "--graph", "{triangle}", "--out", "/dev/full"],
+            "cannot write /dev/full: [Errno 28]",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
     ],
     ids=[
         "noise-value", "noise-repeated", "no-model", "terms-not-json", "zero-shots",
         "layers-past-cap", "compile-out", "spectrum-out", "spectrum-csv", "solve-csv",
-        "solve-trace-csv", "compare-csv",
+        "solve-trace-csv", "compare-csv", "spectrum-out-device-full",
     ],
 )
 def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, argv, message):
@@ -481,14 +502,14 @@ def test_closed_stdout_exits_2_without_traceback(triangle_file, argv, unbuffered
 
 
 def test_compare_identical_mixers(capsys, triangle_file):
-    obj = run_json(
-        capsys,
-        "compare", "--axis", "mixer", "--graph", triangle_file,
-        "--mixer-a", "rx", "--mixer-b", "rx",
-        "--p", "1", "--shots", "1000", "--max-evals", "200", "--seed", "3",
-    )
-    assert obj["a"]["report"]["counts"] == obj["b"]["report"]["counts"]
-    assert obj["a"]["report"]["best_params"] == obj["b"]["report"]["best_params"]
+    # two arms of one mixer would share one mass key and one CSV column
+    # name; the mixers are compared after their case is normalized
+    for mixers in (["--mixer-a", "rx", "--mixer-b", "rx"], ["--mixer-a", "ry", "--mixer-b", "RY"],
+                   ["--mixer-a", "ry"]):
+        code = main(["compare", "--axis", "mixer", "--graph", triangle_file, *mixers])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "--mixer-a and --mixer-b are both" in err and "Traceback" not in err
 
 
 def test_compare_mixer_axis(capsys, triangle_file):
@@ -591,6 +612,53 @@ def test_rerun_reproduces_output(capsys, triangle_file, tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_text() == out_b.read_text()
+
+
+def _argv_from_manifest(manifest: dict) -> list[str]:
+    """The command line a manifest records: each key as its flag, a true
+    bool as a bare flag, the noise model as --noise p1=..,p2=..,ro=..; a
+    false bool and a null are the defaults and give no flag."""
+    argv = [manifest["command"]]
+    for key, value in manifest.items():
+        if key in ("command", "version") or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, dict):
+            argv += [flag, ",".join(f"{k}={v}" for k, v in value.items())]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+_REPLAY_SOLVE = [
+    "--graph", "{triangle}", "--p", "1", "--shots", "200", "--max-evals", "30",
+    "--restarts", "2", "--seed", "5",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--graph", "{triangle}", "--keep-constant"],
+        ["spectrum", "--graph", "{triangle}", "--rescale", "2"],
+        ["solve", *_REPLAY_SOLVE, "--mixer", "ry", "--sampled-objective"],
+        ["solve", *_REPLAY_SOLVE, "--noise", "p1=0.01,ro=0.02"],
+        ["compare", "--axis", "mixer", *_REPLAY_SOLVE, "--mixer-a", "ry", "--mixer-b", "rx"],
+        ["compare", "--axis", "noise", *_REPLAY_SOLVE, "--noise", "p2=0.01"],
+    ],
+    ids=["compile", "spectrum", "solve", "solve-noisy", "compare-mixer", "compare-noise"],
+)
+def test_manifest_replays_to_the_same_output(capsys, triangle_file, argv):
+    # a run can be reproduced from its output alone
+    code, first = run(capsys, *(a.format(triangle=triangle_file) for a in argv))
+    assert code == 0
+    manifest = json.loads(first)["manifest"]
+    assert manifest["version"] == hamqaoa.__version__
+    code, again = run(capsys, *_argv_from_manifest(manifest))
+    assert code == 0
+    assert again == first
 
 
 def test_solve_past_the_spectrum_cap(capsys, tmp_path):

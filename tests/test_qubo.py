@@ -238,11 +238,17 @@ def test_from_term_list_refuses_a_bad_width(num_qubits):
 @pytest.mark.parametrize(
     "terms, constant, name",
     [([("ZZ", True)], 0, "coeff of 'ZZ'"), ([("IZ", False)], 0, "coeff of 'IZ'"),
-     ([("ZZ", 1)], True, "constant")],
+     ([("ZZ", 1)], True, "constant"), ([("ZZ", "1/3")], 0, "coeff of 'ZZ'"),
+     ([("ZZ", 1)], "2", "constant")],
 )
 def test_from_term_list_refuses_a_bool_coefficient(terms, constant, name):
     with pytest.raises(MalformedInput, match=f"{name} must be a number"):
         from_term_list(terms, num_qubits=2, constant=constant)
+
+
+def test_from_term_list_takes_ints_floats_and_fractions():
+    m = from_term_list([("ZZ", 1), ("ZI", 0.5), ("IZ", Fraction(1, 3))], constant=2.0)
+    assert (m.constant, m.linear, m.quadratic) == (2, {1: 0.5, 2: Fraction(1, 3)}, {(1, 2): 1})
 
 
 def _graphs_for_compiler_oracle():
