@@ -71,7 +71,7 @@ def _check_outputs(args) -> None:
 
 def parse_noise(spec: str) -> NoiseModel:
     """Parse 'p1=0.001,p2=0.01,ro=0.01' into a NoiseModel; each component
-    at most once, and 0 where absent."""
+    at most once, in [0, 1], and 0 where absent."""
     keys = ("p1", "p2", "ro")  # NoiseModel's fields, in order
     values: dict[str, float] = {}
     for part in spec.split(","):
@@ -83,13 +83,13 @@ def parse_noise(spec: str) -> NoiseModel:
         if key in values:
             raise MalformedInput(f"noise component {key!r} given twice")
         try:
-            values[key] = float(val)
+            value = float(val)
         except ValueError as exc:
             raise MalformedInput(f"bad noise value {part!r}") from exc
-    try:
-        return NoiseModel(*(values.get(k, 0.0) for k in keys))
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+        if not 0.0 <= value <= 1.0:
+            raise MalformedInput(f"{key} must be in [0, 1], got {value}")
+        values[key] = value
+    return NoiseModel(*(values.get(k, 0.0) for k in keys))
 
 
 def _finite(flag: str, value: float | None) -> float | None:
@@ -265,8 +265,8 @@ def _solve_from_args(args, model, source, mixer, nm=None):
 
 
 def cmd_solve(args) -> int:
-    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     nm = parse_noise(args.noise) if args.noise else None
+    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     report = _solve_from_args(args, model, source, args.mixer, nm)
     _write(report.to_json(), args.out)
     if args.csv:
@@ -315,8 +315,9 @@ def _resolve_axis_flags(args) -> None:
 
 
 def cmd_compare(args) -> int:
-    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     _resolve_axis_flags(args)
+    nm = parse_noise(args.noise) if args.axis == "noise" else None
+    model, source = _model_from_args(args, SIMULATOR_QUBIT_CAP)
     if args.axis == "mixer":
         reps = [
             _solve_from_args(args, model, source, mixer)
@@ -330,7 +331,6 @@ def cmd_compare(args) -> int:
         masses = {rep.mixer: rep.ground_state_mass for rep in reps}
         axis_params = dict(mixer_a=args.mixer_a, mixer_b=args.mixer_b, p=args.p)
     else:  # noise axis
-        nm = parse_noise(args.noise)
         rep = _solve_from_args(args, model, source, args.mixer)
         # Shared parameters: the noisy arm resamples the optimized circuit
         # through the trajectory engine instead of re-optimizing.

@@ -12,8 +12,17 @@ flip per bit.  Every noise model, zero noise too, takes one path: all
 errors are drawn first; shots without errors draw from the error-free
 state as ``sample`` does; the others are replayed in batches of at most
 ``_BATCH_AMPLITUDES`` amplitudes, one state per column, so one numpy
-operation per gate serves a whole batch.  Each replayed state sees the
+operation per gate or ZZ term serves a whole batch.  Each replayed state sees the
 arithmetic of a replay of its own, so counts do not depend on batching.
+
+Each exact CNOT(j, k), RZ(k), CNOT(j, k) run, a ZZ term of the ansatz,
+is one pass in ``simulate`` and in the replay: a multiply by RZ's m11
+where x_j != x_k and by its m00 elsewhere, the product RZ gives each
+amplitude between the two exact permutations (``_term_runs``).  CNOT is
+a Clifford gate, so an error drawn after a term's first CNOT moves to
+the term's start and one drawn after its RZ to its end, each conjugated
+through CNOT.  That changes a replayed state by a sign at most, so
+probabilities, and so counts, keep their bytes.
 
 ``qaoa_state`` evolves one row of angles or a batch of rows through one
 routine, up to ``lockstep_rows(q)`` states at a time as the rows of one
@@ -82,6 +91,23 @@ _PAULI_1Q = ("X", "Y", "Z")
 _PAULI_2Q = [
     (a, b) for a in ("I", "X", "Y", "Z") for b in ("I", "X", "Y", "Z")
 ] [1:]  # all pairs except (I, I)
+_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}  # Pauli as (x, z) bits
+
+
+def _through_cnot(pair) -> int:
+    """Index in ``_PAULI_2Q`` of the Pauli pair on (control, target) that
+    equals CNOT (pair) CNOT up to sign: x_target ^= x_control and
+    z_control ^= z_target."""
+    (xc, zc), (xt, zt) = (_XZ[label] for label in pair)
+    name = {bits: label for label, bits in _XZ.items()}
+    return _PAULI_2Q.index((name[xc, zc ^ zt], name[xt ^ xc, zt]))
+
+
+# Where a term's errors go (``_replay``): error k after its first CNOT, as
+# the error of that CNOT applied before the term's diagonal, and
+# single-qubit error k after its RZ, as the CNOT's error applied after it
+_AFTER_CNOT = tuple(_through_cnot(pair) for pair in _PAULI_2Q)
+_AFTER_RZ = tuple(_through_cnot(("I", label)) for label in _PAULI_1Q)
 
 
 @dataclass(frozen=True)
@@ -213,6 +239,62 @@ def _apply_gate(states: np.ndarray, g: Gate) -> None:
     _apply_1q(states, m, g.targets[0], _KIND[g.kind])
 
 
+# Most bytes of parity masks one call holds (``_term_runs``): all 66 pairs
+# of the 16-qubit pentagon at 64 KiB each, one pair at the 24-qubit cap.
+# Runs on the pairs past it stay gate by gate.
+_MASK_BYTES = 1 << 24
+# x_j != x_k on the axes (.., x_hi, .., x_lo, ..) of a state split at both bits
+_PARITY = np.array([[False, True], [True, False]])[:, None, :, None]
+
+
+def _term_runs(gates, q: int) -> dict:
+    """The parity mask x_j != x_k of each exact CNOT(j, k), RZ(k), CNOT(j, k)
+    run in ``gates``, by the index of its first CNOT; runs on one qubit
+    pair share one mask.  Anything else, such as RZ on the control or two
+    different CNOTs, is no run."""
+    runs, masks = {}, {}
+    free = 0  # the first gate that no run found so far holds
+    for i, (a, rz, b) in enumerate(zip(gates, gates[1:], gates[2:])):
+        if (
+            i < free
+            or a.kind != "CNOT"
+            or rz.kind != "RZ"
+            or b.kind != "CNOT"
+            or a.targets != b.targets
+            or rz.targets != a.targets[1:]
+        ):
+            continue
+        lo, hi = pair = tuple(sorted(a.targets))
+        if pair not in masks and (len(masks) + 1) << q <= _MASK_BYTES:
+            shape = (1 << (q - hi), 2, 1 << (hi - lo - 1), 2, 1 << (lo - 1))
+            masks[pair] = np.broadcast_to(_PARITY, shape).reshape(-1)
+        if pair in masks:
+            runs[i] = masks[pair]
+            free = i + 3
+    return runs
+
+
+def _steps(runs: dict, lo: int, hi: int):
+    """Gates lo..hi-1 as (i, mask): a run of ``runs`` from gate i that ends
+    before hi, or gate i alone, with mask None."""
+    i = lo
+    while i < hi:
+        mask = runs.get(i) if i + 3 <= hi else None
+        yield i, mask
+        i += 1 if mask is None else 3
+
+
+def _apply_term(states: np.ndarray, mask: np.ndarray, rz: Gate) -> None:
+    """A term run's diagonal, in place: RZ's m11 where ``mask`` holds and
+    its m00 elsewhere, each on the left of its product as in ``_apply_1q``;
+    ``states`` as for ``_apply_1q``."""
+    m00, _, _, m11 = _rotation("RZ", float(rz.angle))
+    phase = np.where(mask, m11, m00)
+    if states.ndim == 2:
+        phase = phase[:, None]
+    np.multiply(phase, states, out=states)
+
+
 def _check_circuit(c: ParamCircuit) -> None:
     check_qubits(c.num_qubits)
     if not c.is_bound:
@@ -225,19 +307,25 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in 1..{SHOT_CAP}, got {shots}")
 
 
-def _evolve(gates, q: int) -> np.ndarray:
-    """|0...0> on q qubits through the given bound gates."""
+def _evolve(gates, q: int, runs: dict) -> np.ndarray:
+    """|0...0> on q qubits through the given bound gates: one pass per
+    term run of ``runs`` (``_term_runs``) that they hold whole, one per
+    other gate."""
     state = np.zeros(1 << q, dtype=complex)
     state[0] = 1.0
-    for g in gates:
-        _apply_gate(state, g)
+    for i, mask in _steps(runs, 0, len(gates)):
+        if mask is None:
+            _apply_gate(state, gates[i])
+        else:
+            _apply_term(state, mask, gates[i + 1])
     return state
 
 
 def simulate(c: ParamCircuit) -> Statevector:
     """Exact amplitudes of the bound circuit applied to |0...0>."""
     _check_circuit(c)
-    return Statevector(_evolve(c.gates, c.num_qubits), c.num_qubits)
+    q = c.num_qubits
+    return Statevector(_evolve(c.gates, q, _term_runs(c.gates, q)), q)
 
 
 def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
@@ -490,11 +578,12 @@ def _trajectory_outcomes(
     The states to replay are the diverged shots, sorted (stably) by their
     first error gate, then the error-free state.  Consecutive states share
     a batch of up to ``_BATCH_AMPLITUDES`` amplitudes, so one pass over
-    the gates, one numpy op per gate, serves them all.  Each state goes
-    through the arithmetic of a replay of its own, so outcomes do not
-    depend on the batching.
+    the gates, one numpy op per gate or term run, serves them all.  Each
+    state goes through the arithmetic of a replay of its own, so outcomes
+    do not depend on the batching.
     """
     q, n, shots = c.num_qubits, len(c.gates), len(u_meas)
+    runs = _term_runs(c.gates, q)
     ev_shot, ev_gate, ev_pauli = _pauli_events(c, nm, seed, shots)
     diverged, first_event = np.unique(ev_shot, return_index=True)
     # the error-free state goes last: its "first error" n follows every gate
@@ -513,7 +602,7 @@ def _trajectory_outcomes(
         hi = min(lo + per_batch, len(col_shot))
         a, b = np.searchsorted(ev_col, [lo, hi])
         batch = _replay(
-            c, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
+            c, runs, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
         )
         shot = col_shot[lo:hi]
         if shot[-1] < 0:  # the error-free state draws for every clean shot
@@ -528,29 +617,45 @@ def _trajectory_outcomes(
     return outcomes
 
 
-def _replay(c: ParamCircuit, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarray:
+def _replay(c: ParamCircuit, runs: dict, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarray:
     """Final states of one batch, one per column: column r starts erring
     at gate first_gate[r] (ascending; len(c.gates) for never), and gets
     Pauli ev_pauli[e] after gate ev_gate[e] if ev_col[e] == r.
 
     The columns agree up to their earliest first error, so that prefix is
-    run once on a single state.
+    run once on a single state.  After it, each term run of ``runs`` is
+    one pass, with its errors moved to its edges: those after its first
+    CNOT go before the diagonal and those after its RZ after it, both
+    conjugated through CNOT (``_AFTER_CNOT``, ``_AFTER_RZ``).  The run
+    that holds the first error itself goes gate by gate.
     """
     injections: dict[int, dict[int, list[int]]] = {}
     for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
         injections.setdefault(i, {}).setdefault(k, []).append(r)
-    start = int(first_gate[0])
-    state = _evolve(c.gates[: start + 1], c.num_qubits)
+    gates, start = c.gates, int(first_gate[0])
+    state = _evolve(gates[: start + 1], c.num_qubits, runs)
     batch = np.repeat(state[:, None], len(first_gate), axis=1)
-    for i in range(start, len(c.gates)):
-        g = c.gates[i]
-        if i > start:
-            _apply_gate(batch, g)
-        for k, cols in injections.get(i, {}).items():
-            sub = batch[:, cols]
-            _inject(sub, g, k)
-            batch[:, cols] = sub
+    if start < len(gates):  # else the batch is the error-free state alone
+        _inject_columns(batch, gates[start], injections[start])
+    for i, mask in _steps(runs, start + 1, len(gates)):
+        if mask is None:
+            _apply_gate(batch, gates[i])
+            _inject_columns(batch, gates[i], injections.get(i))
+            continue
+        _inject_columns(batch, gates[i], injections.get(i), _AFTER_CNOT)
+        _apply_term(batch, mask, gates[i + 1])
+        _inject_columns(batch, gates[i], injections.get(i + 1), _AFTER_RZ)
+        _inject_columns(batch, gates[i + 2], injections.get(i + 2))
     return batch
+
+
+def _inject_columns(batch: np.ndarray, g: Gate, by_pauli, moved=None) -> None:
+    """Inject Pauli k of g's error set into the columns ``by_pauli[k]``
+    of the batch, or Pauli ``moved[k]`` where a table is given."""
+    for k, cols in (by_pauli or {}).items():
+        sub = batch[:, cols]
+        _inject(sub, g, k if moved is None else moved[k])
+        batch[:, cols] = sub
 
 
 def _inject(states: np.ndarray, g: Gate, k: int) -> None:

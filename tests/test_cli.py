@@ -337,9 +337,9 @@ def test_parse_noise():
     assert parse_noise("p2=0.3,") == parse_noise("p2=0.3")
     with pytest.raises(MalformedInput):
         parse_noise("p3=1")
-    # a probability outside [0, 1] is refused by the name of its field
-    for spec, field in (("p1=1.5", "p1"), ("ro=-0.1", "readout_flip")):
-        with pytest.raises(MalformedInput, match=rf"^{field} must be in \[0, 1\]"):
+    # a probability outside [0, 1] is refused by the key it was given as
+    for spec, key in (("p1=1.5", "p1"), ("ro=-0.1", "ro"), ("p2=nan", "p2")):
+        with pytest.raises(MalformedInput, match=rf"^{key} must be in \[0, 1\], got"):
             parse_noise(spec)
     # a repeated component is refused, not overwritten by its last value
     for spec in ("p1=0.1,p1=0.2", "p1=0.001,p1=0.01", "ro=0,p2=0.1,ro=0"):
@@ -583,6 +583,39 @@ def test_compare_refuses_a_flag_its_axis_ignores(capsys, triangle_file, argv, me
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--noise", "ro=-0.1"], "ro must be in [0, 1], got -0.1"),
+        (["solve", "--noise", "bogus"], "bad noise component"),
+        (["compare", "--axis", "noise"], "--axis noise requires --noise"),
+        (["compare", "--axis", "noise", "--noise", "p1=2"], "p1 must be in [0, 1]"),
+        (["compare", "--axis", "mixer", "--noise", "p1=0.1"], "--noise applies only"),
+        (["compare", "--axis", "mixer", "--mixer", "ry"], "--mixer applies only"),
+        (["compare", "--axis", "mixer", "--mixer-b", "rx"], "are both RX"),
+    ],
+    ids=[
+        "solve-noise-range", "solve-noise-malformed", "compare-no-noise",
+        "compare-noise-range", "compare-mixer-axis-noise", "compare-mixer-axis-mixer",
+        "compare-equal-mixers",
+    ],
+)
+def test_bad_flags_are_refused_before_the_compile(
+    capsys, triangle_file, monkeypatch, argv, message
+):
+    calls = []
+    real = cli._model_from_args
+    monkeypatch.setattr(cli, "_model_from_args", lambda *a: calls.append(a) or real(*a))
+    code = main([*argv, "--graph", triangle_file])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert calls == []
+    # the counter sees a compile that does happen
+    assert main(["spectrum", "--graph", triangle_file]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("axis", ["mixer", "noise"])

@@ -32,6 +32,9 @@ from hamqaoa.circuit import Gate, ParamCircuit
 from hamqaoa.errors import DimensionMismatch, TooManyQubits, UnboundParameter
 from hamqaoa.qubo import IsingModel
 from oracles import (
+    _embed_cnot,
+    _embed_single,
+    _rotation,
     delta_tv,
     dense_statevector,
     density_matrix_distribution,
@@ -542,6 +545,231 @@ def test_batched_replay_equals_per_shot_replay(
     batched = simulate_noisy(c, nm, shots, seed).counts
     reference = per_shot_trajectories(c, nm, shots, seed)
     assert list(batched.items()) == list(reference.items())
+
+
+_DENSE_PAULI = {
+    "I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1]),
+}
+
+
+def dense_pauli(pair, qubits, q):
+    out = np.eye(1 << q)
+    for label, qubit in zip(pair, qubits):
+        out = _embed_single(_DENSE_PAULI[label], qubit, q) @ out
+    return out
+
+
+@pytest.mark.parametrize("control, target", [(1, 2), (2, 1), (1, 3), (3, 2)])
+def test_errors_move_to_the_term_edges_as_the_conjugation_table_says(control, target):
+    # dense matrices, independent of the engine's kernels: on 3 qubits, so
+    # that one qubit looks on
+    q = 3
+    cnot = _embed_cnot(control, target, q)
+    rz = _embed_single(_rotation("RZ", 0.7), target, q)
+    term = cnot @ rz @ cnot
+    assert sorted(engine._AFTER_CNOT) == list(range(15))
+    assert len(set(engine._AFTER_RZ)) == 3
+    for k, pair in enumerate(engine._PAULI_2Q):
+        moved = dense_pauli(engine._PAULI_2Q[engine._AFTER_CNOT[k]], (control, target), q)
+        conjugated = cnot @ dense_pauli(pair, (control, target), q) @ cnot
+        assert np.array_equal(conjugated, moved) or np.array_equal(conjugated, -moved)
+        # an error after the first CNOT equals its move before the term
+        after_cnot = cnot @ rz @ dense_pauli(pair, (control, target), q) @ cnot
+        assert np.allclose(after_cnot, term @ moved) or np.allclose(after_cnot, -term @ moved)
+    for k, label in enumerate(engine._PAULI_1Q):
+        moved = dense_pauli(engine._PAULI_2Q[engine._AFTER_RZ[k]], (control, target), q)
+        conjugated = cnot @ dense_pauli(("I", label), (control, target), q) @ cnot
+        assert np.array_equal(conjugated, moved) or np.array_equal(conjugated, -moved)
+        # an error after the RZ equals its move after the term
+        after_rz = cnot @ dense_pauli((label,), (target,), q) @ rz @ cnot
+        assert np.allclose(after_rz, moved @ term) or np.allclose(after_rz, -moved @ term)
+
+
+def gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli):
+    """``engine._replay`` one gate at a time, each error injected right
+    after its own gate: the reference for replaying term runs whole."""
+    injections = {}
+    for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
+        injections.setdefault(i, {}).setdefault(k, []).append(r)
+    start = int(first_gate[0])
+    state = np.zeros(1 << c.num_qubits, dtype=complex)
+    state[0] = 1.0
+    for g in c.gates[: start + 1]:
+        engine._apply_gate(state, g)
+    batch = np.repeat(state[:, None], len(first_gate), axis=1)
+    for i in range(start, len(c.gates)):
+        if i > start:
+            engine._apply_gate(batch, c.gates[i])
+        for k, cols in injections.get(i, {}).items():
+            sub = batch[:, cols]
+            engine._inject(sub, c.gates[i], k)
+            batch[:, cols] = sub
+    return batch
+
+
+def assert_term_runs_replay_as_gates(c, columns, per_batch):
+    """Replay the columns, each a list of (gate, Pauli index) errors, in
+    batches of per_batch, fused and gate by gate: |amplitude|^2 keep their
+    bytes and each fused column is its reference column or its negation.
+    The columns go in order of their first error, as ``simulate_noisy``
+    sorts them; a column without errors goes last."""
+    n = len(c.gates)
+    runs = engine._term_runs(c.gates, c.num_qubits)
+    columns = sorted(columns, key=lambda col: col[0][0] if col else n)
+    for lo in range(0, len(columns), per_batch):
+        batch = columns[lo : lo + per_batch]
+        first_gate = np.array([col[0][0] if col else n for col in batch])
+        events = [(r, i, k) for r, col in enumerate(batch) for i, k in col]
+        ev_col, ev_gate, ev_pauli = (
+            np.array(v, dtype=np.int64) for v in (zip(*events) if events else ((), (), ()))
+        )
+        fused = engine._replay(c, runs, first_gate, ev_col, ev_gate, ev_pauli)
+        reference = gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli)
+        assert (np.abs(fused) ** 2).tobytes() == (np.abs(reference) ** 2).tobytes()
+        for a, b in zip(fused.T, reference.T):
+            assert np.array_equal(a, b) or np.array_equal(a, -b)
+
+
+def seeded_columns(c, nm, shots, seed):
+    ev_shot, ev_gate, ev_pauli = engine._pauli_events(c, nm, seed, shots)
+    columns = [[] for _ in range(shots)]
+    for t, i, k in zip(ev_shot.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
+        columns[t].append((i, k))
+    return columns
+
+
+def assert_simulate_runs_as_gates(c):
+    state = np.zeros(1 << c.num_qubits, dtype=complex)
+    state[0] = 1.0
+    for g in c.gates:
+        engine._apply_gate(state, g)
+    assert simulate(c).amplitudes.tobytes() == state.tobytes()
+
+
+def term(j, k, angle):
+    return [Gate("CNOT", (j, k)), Gate("RZ", (k,), angle), Gate("CNOT", (j, k))]
+
+
+@pytest.mark.parametrize("nm", [BENCH_NOISE, HEAVY_NOISE], ids=["bench", "heavy"])
+@pytest.mark.parametrize("case", ["square-p8-RX", "square-p8-RY", "triangle-p2-RX"])
+def test_term_runs_replay_as_gate_by_gate_on_the_ansatz(
+    case, nm, triangle_model, square_fixture_model
+):
+    name, p, mixer = case.split("-")
+    model = triangle_model if name == "triangle" else square_fixture_model
+    c = seeded_circuit(model, int(p[1:]), mixer, 3)
+    runs = engine._term_runs(c.gates, c.num_qubits)
+    quadratic = sum(len(qubits) == 2 for qubits, _ in model.terms())
+    assert len(runs) == quadratic * int(p[1:])
+    assert_simulate_runs_as_gates(c)
+    shots = 60 if name == "square" else 300
+    columns = seeded_columns(c, nm, shots, 11)
+    assert_term_runs_replay_as_gates(c, columns, len(columns))
+    assert_term_runs_replay_as_gates(c, columns, 3)
+
+
+def test_term_runs_replay_as_gate_by_gate_around_a_batch_start(square_fixture_model):
+    c = seeded_circuit(square_fixture_model, 8, "RY", 4)
+    first, later = sorted(engine._term_runs(c.gates, c.num_qubits))[:2]
+    # errors inside a later run: after each gate of it, and after all three
+    inside = [
+        [(later, 4)], [(later + 1, 2)], [(later + 2, 9)],
+        [(later, 14), (later + 1, 0), (later + 2, 7)],
+    ]
+    for offset, paulis in ((0, 15), (1, 3), (2, 15)):
+        # the batch starts inside the first run, at each of its gates
+        columns = [[(first + offset, k)] for k in range(paulis)]
+        columns += [[(first + offset, 0), *col] for col in inside]
+        columns.append([])
+        assert_term_runs_replay_as_gates(c, columns, len(columns))
+    # every error a run can take, in batches that start before it
+    columns = [[(later, k)] for k in range(15)]
+    columns += [[(later + 1, k)] for k in range(3)]
+    columns += [[(later + 2, k)] for k in range(15)]
+    columns += [[(first - 1, 0), *col] for col in inside]
+    assert_term_runs_replay_as_gates(c, columns, len(columns))
+    assert_term_runs_replay_as_gates(c, columns, 4)
+
+
+_NEAR_MISSES = {
+    "rz-on-control": ([Gate("CNOT", (1, 2)), Gate("RZ", (1,), 0.9), Gate("CNOT", (1, 2))], 0),
+    "reversed-cnot": ([Gate("CNOT", (1, 2)), Gate("RZ", (2,), 0.9), Gate("CNOT", (2, 1))], 0),
+    "other-target": ([Gate("CNOT", (1, 2)), Gate("RZ", (2,), 0.9), Gate("CNOT", (1, 3))], 0),
+    "rx-between": ([Gate("CNOT", (1, 3)), Gate("RX", (3,), 0.9), Gate("CNOT", (1, 3))], 0),
+    "rz-elsewhere": ([Gate("CNOT", (2, 3)), Gate("RZ", (1,), 0.9), Gate("CNOT", (2, 3))], 0),
+    "chained": ([*term(1, 2, 0.9), Gate("RZ", (2,), 0.4), Gate("CNOT", (1, 2))], 1),
+    "descending": ([*term(3, 1, 0.9), *term(2, 1, -1.3)], 2),
+    "cut-short": ([Gate("H", (2,)), *term(1, 2, 0.9)[:2]], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEAR_MISSES))
+def test_near_miss_runs_replay_as_gate_by_gate(case):
+    gates, expected_runs = _NEAR_MISSES[case]
+    mix = [Gate("RX", (k,), 0.3 * k) for k in (1, 2, 3)]
+    gates = [*(Gate("H", (k,)) for k in (1, 2, 3)), *gates, *mix, *gates, *term(1, 3, 2.1)]
+    c = ParamCircuit(3, tuple(gates), 0)
+    runs = engine._term_runs(c.gates, 3)
+    assert len(runs) == 2 * expected_runs + 1
+    assert_simulate_runs_as_gates(c)
+    # every single error, then every error after a run's RZ or first CNOT
+    # with later errors in the last run
+    columns = [
+        [(i, k)]
+        for i, g in enumerate(gates)
+        for k in range(15 if g.kind == "CNOT" else 3)
+    ]
+    last = max(runs)
+    columns += [[(i, 1), (last, 5), (last + 1, 2)] for i in range(last)]
+    columns.append([])
+    assert_term_runs_replay_as_gates(c, columns, len(columns))
+    assert_term_runs_replay_as_gates(c, columns, 5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_term_runs_in_random_circuits_replay_as_gate_by_gate(seed):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, max_qubits=5, min_gates=10, max_gates=40)
+    gates = list(c.gates)
+    if c.num_qubits > 1:
+        for _ in range(6):  # exact runs spliced in at random places
+            j, k = rng.choice(np.arange(1, c.num_qubits + 1), size=2, replace=False)
+            at = int(rng.integers(len(gates) + 1))
+            gates[at:at] = term(int(j), int(k), float(rng.uniform(0, 2 * math.pi)))
+    c = ParamCircuit(c.num_qubits, tuple(gates), 0)
+    assert_simulate_runs_as_gates(c)
+    columns = seeded_columns(c, HEAVY_NOISE, 200, seed)
+    assert_term_runs_replay_as_gates(c, columns, len(columns))
+    assert_term_runs_replay_as_gates(c, columns, 3)
+
+
+def test_term_runs_past_the_mask_budget_replay_as_gates(square_fixture_model, monkeypatch):
+    # with room for two masks, only the runs on two qubit pairs are fused
+    c = seeded_circuit(square_fixture_model, 8, "RX", 6)
+    monkeypatch.setattr(engine, "_MASK_BYTES", 2 << c.num_qubits)
+    runs = engine._term_runs(c.gates, c.num_qubits)
+    assert len({id(mask) for mask in runs.values()}) == 2
+    assert len(runs) == 2 * 8
+    assert_simulate_runs_as_gates(c)
+    assert_term_runs_replay_as_gates(c, seeded_columns(c, BENCH_NOISE, 40, 5), 40)
+
+
+@pytest.mark.parametrize(
+    "case, nm",
+    [("square-p8-RX", BENCH_NOISE), ("square-p8-RY", HEAVY_NOISE), ("triangle-p2-RX", HEAVY_NOISE)],
+    ids=["square-RX-bench", "square-RY-heavy", "triangle-RX-heavy"],
+)
+def test_small_batches_count_as_gate_by_gate(
+    case, nm, triangle_model, square_fixture_model, monkeypatch
+):
+    name, p, mixer = case.split("-")
+    model = triangle_model if name == "triangle" else square_fixture_model
+    c = seeded_circuit(model, int(p[1:]), mixer, 7)
+    monkeypatch.setattr(engine, "_BATCH_AMPLITUDES", 3 << c.num_qubits)
+    fused = list(simulate_noisy(c, nm, 120, 4).counts.items())
+    monkeypatch.setattr(engine, "_replay", lambda c, runs, *ev: gate_by_gate_replay(c, *ev))
+    assert fused == list(simulate_noisy(c, nm, 120, 4).counts.items())
 
 
 def test_density_matrix_oracle_on_known_cases():
