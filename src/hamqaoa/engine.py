@@ -239,20 +239,11 @@ def _apply_gate(states: np.ndarray, g: Gate) -> None:
     _apply_1q(states, m, g.targets[0], _KIND[g.kind])
 
 
-# Most bytes of parity masks one call holds (``_term_runs``): all 66 pairs
-# of the 16-qubit pentagon at 64 KiB each, one pair at the 24-qubit cap.
-# Runs on the pairs past it stay gate by gate.
-_MASK_BYTES = 1 << 24
-# x_j != x_k on the axes (.., x_hi, .., x_lo, ..) of a state split at both bits
-_PARITY = np.array([[False, True], [True, False]])[:, None, :, None]
-
-
-def _term_runs(gates, q: int) -> dict:
-    """The parity mask x_j != x_k of each exact CNOT(j, k), RZ(k), CNOT(j, k)
-    run in ``gates``, by the index of its first CNOT; runs on one qubit
-    pair share one mask.  Anything else, such as RZ on the control or two
-    different CNOTs, is no run."""
-    runs, masks = {}, {}
+def _term_runs(gates) -> dict:
+    """The qubit pair (j, k) of each exact CNOT(j, k), RZ(k), CNOT(j, k)
+    run in ``gates``, by the index of its first CNOT.  Anything else, such
+    as RZ on the control or two different CNOTs, is no run."""
+    runs = {}
     free = 0  # the first gate that no run found so far holds
     for i, (a, rz, b) in enumerate(zip(gates, gates[1:], gates[2:])):
         if (
@@ -264,35 +255,32 @@ def _term_runs(gates, q: int) -> dict:
             or rz.targets != a.targets[1:]
         ):
             continue
-        lo, hi = pair = tuple(sorted(a.targets))
-        if pair not in masks and (len(masks) + 1) << q <= _MASK_BYTES:
-            shape = (1 << (q - hi), 2, 1 << (hi - lo - 1), 2, 1 << (lo - 1))
-            masks[pair] = np.broadcast_to(_PARITY, shape).reshape(-1)
-        if pair in masks:
-            runs[i] = masks[pair]
-            free = i + 3
+        runs[i] = a.targets
+        free = i + 3
     return runs
 
 
 def _steps(runs: dict, lo: int, hi: int):
-    """Gates lo..hi-1 as (i, mask): a run of ``runs`` from gate i that ends
-    before hi, or gate i alone, with mask None."""
+    """Gates lo..hi-1 as (i, pair): a run of ``runs`` from gate i that ends
+    before hi, or gate i alone, with pair None."""
     i = lo
     while i < hi:
-        mask = runs.get(i) if i + 3 <= hi else None
-        yield i, mask
-        i += 1 if mask is None else 3
+        pair = runs.get(i) if i + 3 <= hi else None
+        yield i, pair
+        i += 1 if pair is None else 3
 
 
-def _apply_term(states: np.ndarray, mask: np.ndarray, rz: Gate) -> None:
-    """A term run's diagonal, in place: RZ's m11 where ``mask`` holds and
-    its m00 elsewhere, each on the left of its product as in ``_apply_1q``;
-    ``states`` as for ``_apply_1q``."""
+def _apply_term(states: np.ndarray, pair, rz: Gate) -> None:
+    """A term run's diagonal on the qubit pair, in place: RZ's m11 where
+    x_j != x_k and its m00 elsewhere, on the left of each product as in
+    ``_apply_1q``; ``states`` as for ``_apply_1q``.  The state is split at
+    both bits, as in ``_apply_cnot``, and one multiply broadcasts the 2x2
+    phase table over it, so no mask or state-sized temporary is built."""
     m00, _, _, m11 = _rotation("RZ", float(rz.angle))
-    phase = np.where(mask, m11, m00)
-    if states.ndim == 2:
-        phase = phase[:, None]
-    np.multiply(phase, states, out=states)
+    hi, lo = max(pair) - 1, min(pair) - 1
+    psi = states.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, *states.shape[1:])
+    phase = np.array([m00, m11, m11, m00]).reshape(2, 1, 2, 1, *(1,) * (states.ndim - 1))
+    np.multiply(phase, psi, out=psi)
 
 
 def _check_circuit(c: ParamCircuit) -> None:
@@ -313,11 +301,11 @@ def _evolve(gates, q: int, runs: dict) -> np.ndarray:
     other gate."""
     state = np.zeros(1 << q, dtype=complex)
     state[0] = 1.0
-    for i, mask in _steps(runs, 0, len(gates)):
-        if mask is None:
+    for i, pair in _steps(runs, 0, len(gates)):
+        if pair is None:
             _apply_gate(state, gates[i])
         else:
-            _apply_term(state, mask, gates[i + 1])
+            _apply_term(state, pair, gates[i + 1])
     return state
 
 
@@ -325,7 +313,7 @@ def simulate(c: ParamCircuit) -> Statevector:
     """Exact amplitudes of the bound circuit applied to |0...0>."""
     _check_circuit(c)
     q = c.num_qubits
-    return Statevector(_evolve(c.gates, q, _term_runs(c.gates, q)), q)
+    return Statevector(_evolve(c.gates, q, _term_runs(c.gates)), q)
 
 
 def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
@@ -583,7 +571,7 @@ def _trajectory_outcomes(
     do not depend on the batching.
     """
     q, n, shots = c.num_qubits, len(c.gates), len(u_meas)
-    runs = _term_runs(c.gates, q)
+    runs = _term_runs(c.gates)
     ev_shot, ev_gate, ev_pauli = _pauli_events(c, nm, seed, shots)
     diverged, first_event = np.unique(ev_shot, return_index=True)
     # the error-free state goes last: its "first error" n follows every gate
@@ -637,13 +625,13 @@ def _replay(c: ParamCircuit, runs: dict, first_gate, ev_col, ev_gate, ev_pauli) 
     batch = np.repeat(state[:, None], len(first_gate), axis=1)
     if start < len(gates):  # else the batch is the error-free state alone
         _inject_columns(batch, gates[start], injections[start])
-    for i, mask in _steps(runs, start + 1, len(gates)):
-        if mask is None:
+    for i, pair in _steps(runs, start + 1, len(gates)):
+        if pair is None:
             _apply_gate(batch, gates[i])
             _inject_columns(batch, gates[i], injections.get(i))
             continue
         _inject_columns(batch, gates[i], injections.get(i), _AFTER_CNOT)
-        _apply_term(batch, mask, gates[i + 1])
+        _apply_term(batch, pair, gates[i + 1])
         _inject_columns(batch, gates[i], injections.get(i + 1), _AFTER_RZ)
         _inject_columns(batch, gates[i + 2], injections.get(i + 2))
     return batch

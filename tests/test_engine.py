@@ -615,7 +615,7 @@ def assert_term_runs_replay_as_gates(c, columns, per_batch):
     The columns go in order of their first error, as ``simulate_noisy``
     sorts them; a column without errors goes last."""
     n = len(c.gates)
-    runs = engine._term_runs(c.gates, c.num_qubits)
+    runs = engine._term_runs(c.gates)
     columns = sorted(columns, key=lambda col: col[0][0] if col else n)
     for lo in range(0, len(columns), per_batch):
         batch = columns[lo : lo + per_batch]
@@ -659,7 +659,7 @@ def test_term_runs_replay_as_gate_by_gate_on_the_ansatz(
     name, p, mixer = case.split("-")
     model = triangle_model if name == "triangle" else square_fixture_model
     c = seeded_circuit(model, int(p[1:]), mixer, 3)
-    runs = engine._term_runs(c.gates, c.num_qubits)
+    runs = engine._term_runs(c.gates)
     quadratic = sum(len(qubits) == 2 for qubits, _ in model.terms())
     assert len(runs) == quadratic * int(p[1:])
     assert_simulate_runs_as_gates(c)
@@ -671,7 +671,7 @@ def test_term_runs_replay_as_gate_by_gate_on_the_ansatz(
 
 def test_term_runs_replay_as_gate_by_gate_around_a_batch_start(square_fixture_model):
     c = seeded_circuit(square_fixture_model, 8, "RY", 4)
-    first, later = sorted(engine._term_runs(c.gates, c.num_qubits))[:2]
+    first, later = sorted(engine._term_runs(c.gates))[:2]
     # errors inside a later run: after each gate of it, and after all three
     inside = [
         [(later, 4)], [(later + 1, 2)], [(later + 2, 9)],
@@ -710,7 +710,7 @@ def test_near_miss_runs_replay_as_gate_by_gate(case):
     mix = [Gate("RX", (k,), 0.3 * k) for k in (1, 2, 3)]
     gates = [*(Gate("H", (k,)) for k in (1, 2, 3)), *gates, *mix, *gates, *term(1, 3, 2.1)]
     c = ParamCircuit(3, tuple(gates), 0)
-    runs = engine._term_runs(c.gates, 3)
+    runs = engine._term_runs(c.gates)
     assert len(runs) == 2 * expected_runs + 1
     assert_simulate_runs_as_gates(c)
     # every single error, then every error after a run's RZ or first CNOT
@@ -742,17 +742,6 @@ def test_term_runs_in_random_circuits_replay_as_gate_by_gate(seed):
     columns = seeded_columns(c, HEAVY_NOISE, 200, seed)
     assert_term_runs_replay_as_gates(c, columns, len(columns))
     assert_term_runs_replay_as_gates(c, columns, 3)
-
-
-def test_term_runs_past_the_mask_budget_replay_as_gates(square_fixture_model, monkeypatch):
-    # with room for two masks, only the runs on two qubit pairs are fused
-    c = seeded_circuit(square_fixture_model, 8, "RX", 6)
-    monkeypatch.setattr(engine, "_MASK_BYTES", 2 << c.num_qubits)
-    runs = engine._term_runs(c.gates, c.num_qubits)
-    assert len({id(mask) for mask in runs.values()}) == 2
-    assert len(runs) == 2 * 8
-    assert_simulate_runs_as_gates(c)
-    assert_term_runs_replay_as_gates(c, seeded_columns(c, BENCH_NOISE, 40, 5), 40)
 
 
 @pytest.mark.parametrize(
