@@ -11,18 +11,28 @@ gates) or p2 (2-qubit gates), followed by an optional classical readout
 flip per bit.  Every noise model, zero noise too, takes one path: all
 errors are drawn first; shots without errors draw from the error-free
 state as ``sample`` does; the others are replayed in batches of at most
-``_BATCH_AMPLITUDES`` amplitudes, one state per column, so one numpy
-operation per gate or ZZ term serves a whole batch.  Each replayed state sees the
-arithmetic of a replay of its own, so counts do not depend on batching.
+``_BATCH_AMPLITUDES`` amplitudes, one state per column.
 
-Each exact CNOT(j, k), RZ(k), CNOT(j, k) run, a ZZ term of the ansatz,
-is one pass in ``simulate`` and in the replay: a multiply by RZ's m11
-where x_j != x_k and by its m00 elsewhere, the product RZ gives each
-amplitude between the two exact permutations (``_term_runs``).  CNOT is
-a Clifford gate, so an error drawn after a term's first CNOT moves to
-the term's start and one drawn after its RZ to its end, each conjugated
-through CNOT.  That changes a replayed state by a sign at most, so
-probabilities, and so counts, keep their bytes.
+``simulate``, the prefix a batch shares and every batch run through one
+routine, ``_evolve``, over the segments one scan of the gates finds
+(``_segments``).  A maximal run of lone RZs and exact CNOT(j, k), RZ(k),
+CNOT(j, k) runs (the ZZ terms of the ansatz) is one diagonal segment:
+one phase exp(-i a(x)), its angle a matmul of half-register sign tables.
+An RX or RY with one angle on every qubit is one mixer layer: a few
+Kronecker blocks, one matmul each.  Any other gate goes alone.
+
+A batch carries each column's errors as one pending Pauli, x and z bit
+masks without its global phase.  CNOT is a Clifford gate, so an error
+inside a term moves to the term's edges, conjugated through CNOT; one
+after a mixer gate moves to the layer's end.  A diagonal segment takes a
+pending X as sign flips of the steps it overlaps an odd number of times;
+Z commutes with it.  The pending Paulis are applied, one gather for all
+columns, before a mixer layer, before a single gate they touch and before
+the draw.  So a replayed state equals its gate-by-gate replay to within
+rounding (1e-12) and a global phase, not byte for byte; counts can differ
+only where a uniform falls within rounding of a cumulative boundary.
+With no error, ``simulate_noisy`` draws from the state ``simulate``
+returns, byte for byte.
 
 ``qaoa_state`` evolves one row of angles or a batch of rows through one
 routine, up to ``lockstep_rows(q)`` states at a time as the rows of one
@@ -39,9 +49,11 @@ that a zero-noise trajectory run reproduces noiseless sampling exactly.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +63,7 @@ from .hamiltonian import (
     SIMULATOR_QUBIT_CAP,
     DiagonalHamiltonian,
     _bit_strings,
+    _sign_table,
     check_qubits,
     energy_of,
 )
@@ -103,7 +116,7 @@ def _through_cnot(pair) -> int:
     return _PAULI_2Q.index((name[xc, zc ^ zt], name[xt ^ xc, zt]))
 
 
-# Where a term's errors go (``_replay``): error k after its first CNOT, as
+# Where a term's errors go (``_carried``): error k after its first CNOT, as
 # the error of that CNOT applied before the term's diagonal, and
 # single-qubit error k after its RZ, as the CNOT's error applied after it
 _AFTER_CNOT = tuple(_through_cnot(pair) for pair in _PAULI_2Q)
@@ -185,10 +198,9 @@ def _apply_1q(states: np.ndarray, m, k: int, kind: int) -> None:
     bit k-1), in place, by the update ``kind`` of its gate (``_KIND``).
 
     ``states`` is one state of shape (2^q,) or one state per column of
-    shape (2^q, B), in C or F order (``_replay`` passes the F-ordered
-    gather ``batch[:, cols]``).  Only axis 0 is split, into half pairs of
-    2^(k-1) rows, so the view never copies.  Each entry of ``m`` is a
-    Python number.
+    shape (2^q, B), in C or F order.  Only axis 0 is split, into half
+    pairs of 2^(k-1) rows, so the view never copies.  Each entry of ``m``
+    is a Python number.
 
     Products keep the scalar on the left, as numpy's fused complex
     multiply rounds by operand order, and every amplitude gets
@@ -239,54 +251,114 @@ def _apply_gate(states: np.ndarray, g: Gate) -> None:
     _apply_1q(states, m, g.targets[0], _KIND[g.kind])
 
 
-def _term_runs(gates) -> dict:
-    """The qubit pair (j, k) of each exact CNOT(j, k), RZ(k), CNOT(j, k)
-    run in ``gates``, by the index of its first CNOT.  Anything else, such
-    as RZ on the control or two different CNOTs, is no run."""
-    runs = {}
-    free = 0  # the first gate that no run found so far holds
-    for i, (a, rz, b) in enumerate(zip(gates, gates[1:], gates[2:])):
-        if (
-            i < free
-            or a.kind != "CNOT"
-            or rz.kind != "RZ"
-            or b.kind != "CNOT"
-            or a.targets != b.targets
-            or rz.targets != a.targets[1:]
-        ):
-            continue
-        runs[i] = a.targets
-        free = i + 3
-    return runs
+class _Segment(NamedTuple):
+    """The gates of a circuit from gate ``lo`` that one pass replays
+    (``_segments``).
+
+    A diagonal segment lists the first gate of each step, a lone RZ or an
+    exact term run, in ``steps``, with the qubit mask of the step's Z
+    product in ``masks``, half its RZ angle in ``angles`` and the
+    half-register sign tables of the masks in ``signs``
+    (``_multiply_phases``).  A mixer layer holds one Kronecker block per
+    ``_block_sizes`` entry in ``blocks``, lowest qubits first.  A single
+    gate holds neither.
+    """
+
+    lo: int
+    steps: tuple = ()
+    masks: np.ndarray | None = None
+    angles: np.ndarray | None = None
+    signs: tuple = ()
+    blocks: tuple = ()
 
 
-def _steps(runs: dict, lo: int, hi: int):
-    """Gates lo..hi-1 as (i, pair): a run of ``runs`` from gate i that ends
-    before hi, or gate i alone, with pair None."""
-    i = lo
-    while i < hi:
-        pair = runs.get(i) if i + 3 <= hi else None
-        yield i, pair
-        i += 1 if pair is None else 3
+def _is_term(gates, i: int) -> bool:
+    """Whether gates i..i+2 are an exact CNOT(j, k), RZ(k), CNOT(j, k) run."""
+    if i + 3 > len(gates):
+        return False
+    a, rz, b = gates[i : i + 3]
+    return (
+        a.kind == "CNOT"
+        and rz.kind == "RZ"
+        and b.kind == "CNOT"
+        and a.targets == b.targets
+        and rz.targets == a.targets[1:]
+    )
 
 
-def _apply_term(states: np.ndarray, pair, rz: Gate) -> None:
-    """A term run's diagonal on the qubit pair, in place: RZ's m11 where
-    x_j != x_k and its m00 elsewhere, on the left of each product as in
-    ``_apply_1q``; ``states`` as for ``_apply_1q``.  The state is split at
-    both bits, as in ``_apply_cnot``, and one multiply broadcasts the 2x2
-    phase table over it, so no mask or state-sized temporary is built."""
-    m00, _, _, m11 = _rotation("RZ", float(rz.angle))
-    hi, lo = max(pair) - 1, min(pair) - 1
-    psi = states.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, *states.shape[1:])
-    phase = np.array([m00, m11, m11, m00]).reshape(2, 1, 2, 1, *(1,) * (states.ndim - 1))
-    np.multiply(phase, psi, out=psi)
+def _is_layer(gates, q: int) -> bool:
+    """Whether the gates are one RX or RY with one angle on every one of q
+    qubits, each qubit once."""
+    first = gates[0]
+    return (
+        len(gates) == q
+        and first.kind in ("RX", "RY")
+        and all(g.kind == first.kind and g.angle == first.angle for g in gates)
+        and sorted(g.targets[0] for g in gates) == list(range(1, q + 1))
+    )
+
+
+def _segments(gates, q: int) -> list:
+    """The gates as segments (``_Segment``), in order, in one scan: maximal
+    runs of lone RZs and exact term runs, whole mixer layers, and single
+    gates.  A near miss of a term run, such as RZ on the control, is no
+    run; its RZ is a lone RZ and its CNOTs single gates."""
+    segments, layers, signs = [], {}, {}
+    i, n = 0, len(gates)
+    lo_bits = q // 2  # the sign tables split the register as energies() does
+    while i < n:
+        steps, masks, angles = [], [], []
+        j = i
+        while j < n:
+            g = gates[j]
+            if g.kind == "RZ":
+                steps.append(j)
+                masks.append(1 << (g.targets[0] - 1))
+                angles.append(float(g.angle) / 2)
+                j += 1
+            elif g.kind == "CNOT" and _is_term(gates, j):
+                control, target = g.targets
+                steps.append(j)
+                masks.append((1 << (control - 1)) | (1 << (target - 1)))
+                angles.append(float(gates[j + 1].angle) / 2)
+                j += 3
+            else:
+                break
+        if steps:
+            key = tuple(masks)
+            if key not in signs:
+                m = np.array(masks, dtype=np.uint64)
+                s_lo = _sign_table(m & np.uint64((1 << lo_bits) - 1), lo_bits)
+                s_hi = _sign_table(m >> np.uint64(lo_bits), q - lo_bits)
+                signs[key] = (np.ascontiguousarray(s_hi.T), s_lo)
+            segments.append(
+                _Segment(i, tuple(steps), np.array(masks), np.array(angles), signs[key])
+            )
+            i = j
+        elif _is_layer(gates[i : i + q], q):
+            layers.setdefault(gates[i].kind, []).append(len(segments))
+            segments.append(_Segment(i))
+            i += q
+        else:
+            segments.append(_Segment(i))
+            i += 1
+    sizes = _block_sizes(q)
+    for mixer, at in layers.items():
+        betas = np.array([[float(gates[segments[s].lo].angle) / 2 for s in at]])
+        tables = _block_tables(mixer, betas, sizes)
+        for layer, s in enumerate(at):
+            blocks = tuple(tables[b][layer, 0] for b in sizes)
+            segments[s] = segments[s]._replace(blocks=blocks)
+    return segments
 
 
 def _check_circuit(c: ParamCircuit) -> None:
     check_qubits(c.num_qubits)
     if not c.is_bound:
         raise UnboundParameter("circuit has unbound symbolic parameters")
+    for i, g in enumerate(c.gates):
+        if g.angle is not None and not math.isfinite(g.angle):
+            raise ValueError(f"gate {i} ({g.kind}) has a non-finite angle {g.angle!r}")
 
 
 def check_shots(shots: int) -> None:
@@ -295,25 +367,171 @@ def check_shots(shots: int) -> None:
         raise ValueError(f"shots must be in 1..{SHOT_CAP}, got {shots}")
 
 
-def _evolve(gates, q: int, runs: dict) -> np.ndarray:
-    """|0...0> on q qubits through the given bound gates: one pass per
-    term run of ``runs`` (``_term_runs``) that they hold whole, one per
-    other gate."""
-    state = np.zeros(1 << q, dtype=complex)
+def _ground(q: int) -> np.ndarray:
+    """|0...0> on q qubits as one column, shape (2^q, 1)."""
+    state = np.zeros((1 << q, 1), dtype=complex)
     state[0] = 1.0
-    for i, pair in _steps(runs, 0, len(gates)):
-        if pair is None:
-            _apply_gate(state, gates[i])
-        else:
-            _apply_term(state, pair, gates[i + 1])
     return state
+
+
+def _evolve(states: np.ndarray, segments, gates, events=None) -> np.ndarray:
+    """The (2^q, B) states, one per column, through the segments of
+    ``_segments``, in place.  ``events`` maps a segment's first gate to the
+    errors that land in it (``_carried``).  Each column carries them as
+    one pending Pauli X^x Z^z, applied (``_flush``) before a mixer layer,
+    before a single gate on a qubit it touches, and at the end."""
+    px = np.zeros(states.shape[1], dtype=np.int64)
+    pz = np.zeros_like(px)
+    for seg in segments:
+        errors = events.get(seg.lo, ()) if events else ()
+        if seg.steps:
+            _diagonal(states, seg, px, pz, errors)
+            continue
+        if seg.blocks:
+            _flush(states, px, pz)
+            _mix(states, seg.blocks)
+        else:
+            g = gates[seg.lo]
+            _flush(states, px, pz, sum(1 << (k - 1) for k in g.targets))
+            _apply_gate(states, g)
+        for r, _, x, z in errors:
+            px[r] ^= x
+            pz[r] ^= z
+    _flush(states, px, pz)
+    return states
+
+
+# Most multiply-adds of one GEMM: OpenBLAS runs a GEMM of at most 4 x 65,536
+# on one thread, so its products do not depend on the thread count.
+_GEMM_MACS = 1 << 18
+# Most entries of one chunk of phases, of a mixer block's output or of a
+# pending-Pauli gather: the temporaries of every pass stay this small.
+_CHUNK = 1 << 13
+
+
+def _diagonal(states, seg: _Segment, px, pz, errors) -> None:
+    """A diagonal segment on every column, in place: exp(-i a(x)) with
+    a(x) = sum_t sigma_t angle_t (-1)^parity(x & mask_t).
+
+    sigma_t is -1 where the column's pending X overlaps mask_t an odd
+    number of times at step t: X^m D X^m is D at x ^ m.  Every column
+    takes the phase with no flip, one vector for all; a column with flips
+    then takes its own correction, exp(2i sum angle_t (-1)^parity(x &
+    mask_t)) over its flipped steps.  An error at step t joins the pending
+    Pauli before step t; its Z part commutes with every step.
+    """
+    _multiply_phases(states, seg, seg.angles[None], slice(None))
+    for r, _, _, z in errors:
+        pz[r] ^= z
+    flips = np.array([(r, t, x) for r, t, x, _ in errors if x], dtype=np.int64).reshape(-1, 3)
+    if not len(flips) and not px.any():
+        return
+    carrying = px != 0
+    carrying[flips[:, 0]] = True
+    carried = np.flatnonzero(carrying)
+    x_at = np.zeros((len(carried), len(seg.steps) + 1), dtype=np.int64)
+    x_at[:, 0] = px[carried]
+    rank = np.cumsum(carrying) - 1  # the row of x_at of each carried column
+    np.bitwise_xor.at(x_at, (rank[flips[:, 0]], flips[:, 1]), flips[:, 2])
+    x_at = np.bitwise_xor.accumulate(x_at, axis=1)
+    px[carried] = x_at[:, -1]
+    odd = np.bitwise_count(x_at[:, :-1] & seg.masks) & 1
+    flipped = odd.any(axis=1)
+    if flipped.any():
+        _multiply_phases(states, seg, -2.0 * seg.angles * odd[flipped], carried[flipped])
+
+
+def _multiply_phases(states, seg: _Segment, weights, cols) -> None:
+    """Multiply the columns ``cols`` of ``states`` by exp(-i a), in place,
+    one phase per row of the (R, T) step ``weights`` (one row for all
+    columns), where a(x) = sum_t weights_t (-1)^parity(x & mask_t).
+
+    a is one stacked matmul of the half-register sign tables, split as
+    ``DiagonalHamiltonian.energies`` splits the register: the high table
+    times the low table scaled by the weights gives a over the indices
+    (xh, xl).  No (2^q, T) table and no full phase vector is built: the
+    high rows go in chunks of at most ``_CHUNK`` phases and, down to one
+    row, ``_GEMM_MACS`` per GEMM.  a is reduced to [-pi, pi] first, where
+    cos and sin are fastest.
+    """
+    s_hi, s_lo = seg.signs
+    width = s_lo.shape[1]
+    rows = max(1, min(_GEMM_MACS // (len(s_lo) * width), _CHUNK // (len(weights) * width)))
+    scaled = weights[:, :, None] * s_lo
+    for lo in range(0, len(s_hi), rows):
+        a = s_hi[lo : lo + rows] @ scaled
+        a -= np.rint(a * (0.5 / math.pi)) * (2 * math.pi)
+        phase = np.empty(a.shape, dtype=complex)
+        np.cos(a, out=phase.real)
+        np.sin(a, out=phase.imag)
+        np.negative(phase.imag, out=phase.imag)
+        states[lo * width : (lo + rows) * width, cols] *= phase.reshape(len(a), -1).T
+
+
+def _mix(states, blocks) -> None:
+    """A mixer layer on every column, in place: one matmul per Kronecker
+    block, lowest qubits first, a chunk of at most ``_CHUNK`` entries at a
+    time through a temporary.
+
+    A block U on b qubits with ``low`` entries (columns included) below it
+    is ``U @ x`` on x of shape (high, 2^b, low).  With fewer than 2^b
+    entries below it, as for the lowest block of a few columns, each
+    column is instead ``x @ U.T`` on its rows x of shape (high, 2^b), one
+    GEMM per chunk rather than one per high index.  With 2^b <= 16, no
+    GEMM does more than ``_GEMM_MACS`` multiply-adds.
+    """
+    low = states.shape[1]
+    for u in blocks:
+        d = len(u)
+        x = states.reshape(-1, d, low)
+        if low < d:
+            for column in range(low):
+                rows = x[:, :, column]
+                for lo in range(0, len(rows), _CHUNK // d):
+                    part = rows[lo : lo + _CHUNK // d]
+                    part[...] = np.ascontiguousarray(part) @ u.T
+        else:
+            cols = min(low, _CHUNK // d)
+            rows = _CHUNK // (d * cols)
+            for lo in range(0, len(x), rows):
+                for left in range(0, low, cols):
+                    part = x[lo : lo + rows, :, left : left + cols]
+                    part[...] = u @ part
+        low *= d
+
+
+def _flush(states, px, pz, touch: int = -1) -> None:
+    """Apply each column's pending Pauli X^x Z^z, in place, if any pending
+    Pauli acts on a qubit of the mask ``touch``, and clear them.
+
+    Column r becomes states[i ^ x_r, r] (-1)^popcount((i ^ x_r) & z_r) at
+    every index i: one gather for all pending columns, in chunks of at most
+    ``_CHUNK`` entries, and one write back.
+    """
+    pending = px | pz
+    if not (pending & touch).any():
+        return
+    cols = np.flatnonzero(pending)
+    (dim, width), x, z = states.shape, px[cols], pz[cols]
+    moved = np.empty((dim, len(cols)), dtype=complex)
+    rows = max(1, _CHUNK // len(cols))
+    for lo in range(0, dim, rows):
+        src = np.arange(lo, min(lo + rows, dim))[:, None] ^ x
+        part = moved[lo : lo + rows]
+        np.take(states.reshape(-1), src * width + cols, out=part)
+        odd = np.bitwise_count(src & z)
+        odd &= 1
+        part *= 1.0 - 2.0 * odd
+    states[:, cols] = moved
+    px[cols] = 0
+    pz[cols] = 0
 
 
 def simulate(c: ParamCircuit) -> Statevector:
     """Exact amplitudes of the bound circuit applied to |0...0>."""
     _check_circuit(c)
     q = c.num_qubits
-    return Statevector(_evolve(c.gates, q, _term_runs(c.gates)), q)
+    return Statevector(_evolve(_ground(q), _segments(c.gates, q), c.gates)[:, 0], q)
 
 
 def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
@@ -566,12 +784,10 @@ def _trajectory_outcomes(
     The states to replay are the diverged shots, sorted (stably) by their
     first error gate, then the error-free state.  Consecutive states share
     a batch of up to ``_BATCH_AMPLITUDES`` amplitudes, so one pass over
-    the gates, one numpy op per gate or term run, serves them all.  Each
-    state goes through the arithmetic of a replay of its own, so outcomes
-    do not depend on the batching.
+    the segments, one numpy op per segment or block, serves them all.
     """
     q, n, shots = c.num_qubits, len(c.gates), len(u_meas)
-    runs = _term_runs(c.gates)
+    segments = _segments(c.gates, q)
     ev_shot, ev_gate, ev_pauli = _pauli_events(c, nm, seed, shots)
     diverged, first_event = np.unique(ev_shot, return_index=True)
     # the error-free state goes last: its "first error" n follows every gate
@@ -590,7 +806,7 @@ def _trajectory_outcomes(
         hi = min(lo + per_batch, len(col_shot))
         a, b = np.searchsorted(ev_col, [lo, hi])
         batch = _replay(
-            c, runs, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
+            c, segments, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
         )
         shot = col_shot[lo:hi]
         if shot[-1] < 0:  # the error-free state draws for every clean shot
@@ -605,53 +821,51 @@ def _trajectory_outcomes(
     return outcomes
 
 
-def _replay(c: ParamCircuit, runs: dict, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarray:
+def _replay(c: ParamCircuit, segments, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarray:
     """Final states of one batch, one per column: column r starts erring
     at gate first_gate[r] (ascending; len(c.gates) for never), and gets
     Pauli ev_pauli[e] after gate ev_gate[e] if ev_col[e] == r.
 
-    The columns agree up to their earliest first error, so that prefix is
-    run once on a single state.  After it, each term run of ``runs`` is
-    one pass, with its errors moved to its edges: those after its first
-    CNOT go before the diagonal and those after its RZ after it, both
-    conjugated through CNOT (``_AFTER_CNOT``, ``_AFTER_RZ``).  The run
-    that holds the first error itself goes gate by gate.
+    The columns agree up to the segment that holds their earliest first
+    error, so the segments before it run once on a single state.
     """
-    injections: dict[int, dict[int, list[int]]] = {}
+    starts = [seg.lo for seg in segments]
+    start = bisect.bisect_right(starts, int(first_gate[0])) - 1
+    if first_gate[0] == len(c.gates):  # the error-free state alone
+        start = len(segments)
+    prefix = _evolve(_ground(c.num_qubits), segments[:start], c.gates)
+    batch = prefix if len(first_gate) == 1 else np.repeat(prefix, len(first_gate), axis=1)
+    events = _carried(c.gates, segments, starts, ev_col, ev_gate, ev_pauli)
+    return _evolve(batch, segments[start:], c.gates, events)
+
+
+def _carried(gates, segments, starts, ev_col, ev_gate, ev_pauli) -> dict:
+    """Each error as (column, step, x mask, z mask), listed under the first
+    gate of its segment.
+
+    In a diagonal segment, an error after a lone RZ or a term run's second
+    CNOT joins before the next step.  CNOT is a Clifford gate, so one
+    after a term's first CNOT equals its conjugate through CNOT
+    (``_AFTER_CNOT``) before the term, and one after its RZ the pair
+    ``_AFTER_RZ`` after it.  Elsewhere the step is unused.
+    """
+    events: dict[int, list] = {}
     for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
-        injections.setdefault(i, {}).setdefault(k, []).append(r)
-    gates, start = c.gates, int(first_gate[0])
-    state = _evolve(gates[: start + 1], c.num_qubits, runs)
-    batch = np.repeat(state[:, None], len(first_gate), axis=1)
-    if start < len(gates):  # else the batch is the error-free state alone
-        _inject_columns(batch, gates[start], injections[start])
-    for i, pair in _steps(runs, start + 1, len(gates)):
-        if pair is None:
-            _apply_gate(batch, gates[i])
-            _inject_columns(batch, gates[i], injections.get(i))
-            continue
-        _inject_columns(batch, gates[i], injections.get(i), _AFTER_CNOT)
-        _apply_term(batch, pair, gates[i + 1])
-        _inject_columns(batch, gates[i], injections.get(i + 1), _AFTER_RZ)
-        _inject_columns(batch, gates[i + 2], injections.get(i + 2))
-    return batch
-
-
-def _inject_columns(batch: np.ndarray, g: Gate, by_pauli, moved=None) -> None:
-    """Inject Pauli k of g's error set into the columns ``by_pauli[k]``
-    of the batch, or Pauli ``moved[k]`` where a table is given."""
-    for k, cols in (by_pauli or {}).items():
-        sub = batch[:, cols]
-        _inject(sub, g, k if moved is None else moved[k])
-        batch[:, cols] = sub
-
-
-def _inject(states: np.ndarray, g: Gate, k: int) -> None:
-    """Apply Pauli number k of the gate's error set on its qubit(s), in place."""
-    if g.kind == "CNOT":
-        for label, qubit in zip(_PAULI_2Q[k], g.targets):
-            if label != "I":
-                _apply_1q(states, _PAULI[label], qubit, _KIND[label])
-    else:
-        label = _PAULI_1Q[k]
-        _apply_1q(states, _PAULI[label], g.targets[0], _KIND[label])
+        seg = segments[bisect.bisect_right(starts, i) - 1]
+        g, step = gates[i], 0
+        if seg.steps:
+            step = bisect.bisect_right(seg.steps, i)
+            first = seg.steps[step - 1]
+            if gates[first].kind == "CNOT":
+                g = gates[first]
+                if i == first:
+                    k, step = _AFTER_CNOT[k], step - 1
+                elif i == first + 1:
+                    k = _AFTER_RZ[k]
+        labels = _PAULI_2Q[k] if g.kind == "CNOT" else (_PAULI_1Q[k],)
+        x = z = 0
+        for label, qubit in zip(labels, g.targets):
+            x |= _XZ[label][0] << (qubit - 1)
+            z |= _XZ[label][1] << (qubit - 1)
+        events.setdefault(seg.lo, []).append((r, step, x, z))
+    return events

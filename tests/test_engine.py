@@ -1,7 +1,9 @@
+import functools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -84,6 +86,26 @@ def test_simulate_rejects_unbound(triangle_model):
         simulate(build_ansatz(triangle_model, 1))
     with pytest.raises(UnboundParameter):
         simulate_noisy(build_ansatz(triangle_model, 1), BENCH_NOISE, 10, seed=0)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_angles_are_refused_before_any_work(angle, triangle_model, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("work began before the check")
+
+    monkeypatch.setattr(engine, "_segments", must_not_run)
+    monkeypatch.setattr(engine, "_substream", must_not_run)
+    cases = [(ParamCircuit(2, (Gate("H", (1,)), *term(1, 2, angle)), 0), 2)]
+    for gammas, betas in (([angle], [0.4]), ([0.3], [angle])):
+        c = bind(build_ansatz(triangle_model, 1), gammas, betas)
+        finite = [g.angle is None or math.isfinite(g.angle) for g in c.gates]
+        cases.append((c, finite.index(False)))
+    for c, index in cases:
+        kind = c.gates[index].kind
+        with pytest.raises(ValueError, match=rf"gate {index} \({kind}\) has a non-finite angle"):
+            simulate(c)
+        with pytest.raises(ValueError, match=rf"gate {index} \({kind}\) has a non-finite angle"):
+            simulate_noisy(c, BENCH_NOISE, 10, 0)
 
 
 def test_simulate_qubit_cap():
@@ -586,9 +608,17 @@ def test_errors_move_to_the_term_edges_as_the_conjugation_table_says(control, ta
         assert np.allclose(after_rz, moved @ term) or np.allclose(after_rz, -moved @ term)
 
 
+def inject(states, g, k):
+    """Pauli number k of the gate's error set on its qubit(s), in place."""
+    labels = engine._PAULI_2Q[k] if g.kind == "CNOT" else (engine._PAULI_1Q[k],)
+    for label, qubit in zip(labels, g.targets):
+        if label != "I":
+            engine._apply_1q(states, engine._PAULI[label], qubit, engine._KIND[label])
+
+
 def gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli):
     """``engine._replay`` one gate at a time, each error injected right
-    after its own gate: the reference for replaying term runs whole."""
+    after its own gate: the reference for replaying segments whole."""
     injections = {}
     for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
         injections.setdefault(i, {}).setdefault(k, []).append(r)
@@ -603,19 +633,26 @@ def gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli):
             engine._apply_gate(batch, c.gates[i])
         for k, cols in injections.get(i, {}).items():
             sub = batch[:, cols]
-            engine._inject(sub, c.gates[i], k)
+            inject(sub, c.gates[i], k)
             batch[:, cols] = sub
     return batch
 
 
-def assert_term_runs_replay_as_gates(c, columns, per_batch):
-    """Replay the columns, each a list of (gate, Pauli index) errors, in
-    batches of per_batch, fused and gate by gate: |amplitude|^2 keep their
-    bytes and each fused column is its reference column or its negation.
+def assert_equal_up_to_phase(states, reference):
+    """Each column within 1e-12 of its reference column times a
+    unit-modulus phase: each replayed state drops its global phase."""
+    for a, b in zip(states.T, reference.T):
+        overlap = np.vdot(b, a)
+        assert abs(abs(overlap) - 1.0) <= 1e-12
+        assert np.max(np.abs(a - overlap / abs(overlap) * b)) <= 1e-12
+
+
+def replay_batches(c, columns, per_batch):
+    """Each batch of per_batch columns, each a list of (gate, Pauli index)
+    errors, as the arguments of ``engine._replay`` after the segments.
     The columns go in order of their first error, as ``simulate_noisy``
     sorts them; a column without errors goes last."""
     n = len(c.gates)
-    runs = engine._term_runs(c.gates)
     columns = sorted(columns, key=lambda col: col[0][0] if col else n)
     for lo in range(0, len(columns), per_batch):
         batch = columns[lo : lo + per_batch]
@@ -624,11 +661,26 @@ def assert_term_runs_replay_as_gates(c, columns, per_batch):
         ev_col, ev_gate, ev_pauli = (
             np.array(v, dtype=np.int64) for v in (zip(*events) if events else ((), (), ()))
         )
-        fused = engine._replay(c, runs, first_gate, ev_col, ev_gate, ev_pauli)
-        reference = gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli)
-        assert (np.abs(fused) ** 2).tobytes() == (np.abs(reference) ** 2).tobytes()
-        for a, b in zip(fused.T, reference.T):
-            assert np.array_equal(a, b) or np.array_equal(a, -b)
+        yield batch, (first_gate, ev_col, ev_gate, ev_pauli)
+
+
+def assert_term_runs_replay_as_gates(c, columns, per_batch):
+    """Replay the columns in batches of per_batch, by segments and gate
+    by gate: each column within 1e-12 of its reference up to a phase."""
+    segments = engine._segments(c.gates, c.num_qubits)
+    for _, args in replay_batches(c, columns, per_batch):
+        fused = engine._replay(c, segments, *args)
+        assert_equal_up_to_phase(fused, gate_by_gate_replay(c, *args))
+
+
+def term_starts(c):
+    """The first gate of every term run that ``engine._segments`` finds."""
+    return [
+        t
+        for seg in engine._segments(c.gates, c.num_qubits)
+        for t in seg.steps
+        if c.gates[t].kind == "CNOT"
+    ]
 
 
 def seeded_columns(c, nm, shots, seed):
@@ -644,7 +696,7 @@ def assert_simulate_runs_as_gates(c):
     state[0] = 1.0
     for g in c.gates:
         engine._apply_gate(state, g)
-    assert simulate(c).amplitudes.tobytes() == state.tobytes()
+    assert np.max(np.abs(simulate(c).amplitudes - state)) <= 1e-12
 
 
 def term(j, k, angle):
@@ -659,9 +711,8 @@ def test_term_runs_replay_as_gate_by_gate_on_the_ansatz(
     name, p, mixer = case.split("-")
     model = triangle_model if name == "triangle" else square_fixture_model
     c = seeded_circuit(model, int(p[1:]), mixer, 3)
-    runs = engine._term_runs(c.gates)
     quadratic = sum(len(qubits) == 2 for qubits, _ in model.terms())
-    assert len(runs) == quadratic * int(p[1:])
+    assert len(term_starts(c)) == quadratic * int(p[1:])
     assert_simulate_runs_as_gates(c)
     shots = 60 if name == "square" else 300
     columns = seeded_columns(c, nm, shots, 11)
@@ -671,7 +722,7 @@ def test_term_runs_replay_as_gate_by_gate_on_the_ansatz(
 
 def test_term_runs_replay_as_gate_by_gate_around_a_batch_start(square_fixture_model):
     c = seeded_circuit(square_fixture_model, 8, "RY", 4)
-    first, later = sorted(engine._term_runs(c.gates))[:2]
+    first, later = term_starts(c)[:2]
     # errors inside a later run: after each gate of it, and after all three
     inside = [
         [(later, 4)], [(later + 1, 2)], [(later + 2, 9)],
@@ -710,7 +761,7 @@ def test_near_miss_runs_replay_as_gate_by_gate(case):
     mix = [Gate("RX", (k,), 0.3 * k) for k in (1, 2, 3)]
     gates = [*(Gate("H", (k,)) for k in (1, 2, 3)), *gates, *mix, *gates, *term(1, 3, 2.1)]
     c = ParamCircuit(3, tuple(gates), 0)
-    runs = engine._term_runs(c.gates)
+    runs = term_starts(c)
     assert len(runs) == 2 * expected_runs + 1
     assert_simulate_runs_as_gates(c)
     # every single error, then every error after a run's RZ or first CNOT
@@ -742,6 +793,137 @@ def test_term_runs_in_random_circuits_replay_as_gate_by_gate(seed):
     columns = seeded_columns(c, HEAVY_NOISE, 200, seed)
     assert_term_runs_replay_as_gates(c, columns, len(columns))
     assert_term_runs_replay_as_gates(c, columns, 3)
+
+
+_DENSE_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+@functools.cache
+def dense_matrices(c):
+    """Each gate of the circuit and each Pauli of its error set, dense."""
+    q = c.num_qubits
+    gates, errors = [], []
+    for g in c.gates:
+        if g.kind == "CNOT":
+            gates.append(_embed_cnot(*g.targets, q))
+            labels = engine._PAULI_2Q
+        else:
+            mat = _DENSE_H if g.kind == "H" else _rotation(g.kind, g.angle)
+            gates.append(_embed_single(mat, g.targets[0], q))
+            labels = [(label,) for label in engine._PAULI_1Q]
+        errors.append([dense_pauli(pair, g.targets, q) for pair in labels])
+    return gates, errors
+
+
+def dense_replay(c, columns):
+    """The final state of each column of errors, (gate, Pauli index)
+    pairs, as a product of dense matrices: each gate, then each of its
+    errors; one state per column."""
+    gates, errors = dense_matrices(c)
+    states = np.zeros((1 << c.num_qubits, len(columns)), dtype=complex)
+    for r, column in enumerate(columns):
+        state = np.eye(1 << c.num_qubits)[:, 0]
+        for i, mat in enumerate(gates):
+            state = mat @ state
+            for k in (k for j, k in column if j == i):
+                state = errors[i][k] @ state
+        states[:, r] = state
+    return states
+
+
+def carrying_circuit(q, mixer):
+    """H on every qubit, a diagonal segment of lone RZs and terms, one
+    mixer layer, and another diagonal segment, at seeded angles."""
+    rng = np.random.default_rng(q)
+    angles = iter(rng.uniform(-7, 7, 16).tolist())
+    first = [
+        Gate("RZ", (1,), next(angles)), *term(1, 2, next(angles)), *term(3, 2, next(angles)),
+        Gate("RZ", (q,), next(angles)), *term(q, 1, next(angles)), *term(2, 3, next(angles)),
+    ]
+    second = [
+        *term(2, q, next(angles)), Gate("RZ", (2,), next(angles)),
+        *term(1, 3, next(angles)), *term(3, 1, next(angles)),
+    ]
+    beta = next(angles)
+    gates = [
+        *(Gate("H", (k,)) for k in range(1, q + 1)), *first,
+        *(Gate(mixer, (k,), beta) for k in range(q, 0, -1)), *second,
+    ]
+    return ParamCircuit(q, tuple(gates), 0)
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_carried_errors_replay_as_dense_products(q, mixer):
+    # every single Pauli after every gate, and an error of the mixer layer
+    # (carried into the next segment as sign flips) before one after each
+    # later gate; each replayed column is the dense product up to a phase
+    c = carrying_circuit(q, mixer)
+    segments = engine._segments(c.gates, q)
+    kinds = ["steps" if s.steps else "blocks" if s.blocks else "gate" for s in segments]
+    assert kinds == ["gate"] * q + ["steps", "blocks", "steps"]
+    paulis = [15 if g.kind == "CNOT" else 3 for g in c.gates]
+    columns = [[(i, k)] for i, n in enumerate(paulis) for k in range(n)]
+    mixer_gates = range(segments[q + 1].lo, segments[q + 1].lo + q)
+    columns += [
+        [(m, k), (i, (m + i) % paulis[i])]
+        for m in mixer_gates
+        for k in range(3)
+        for i in range(m + 1, len(c.gates))
+    ]
+    columns += [[(0, 0), (i, 1)] for i in range(q, len(c.gates))]  # X carried from H
+    for per_batch in (len(columns), 3):
+        for batch, args in replay_batches(c, columns, per_batch):
+            assert_equal_up_to_phase(engine._replay(c, segments, *args), dense_replay(c, batch))
+
+
+def test_a_16_qubit_replay_stays_small():
+    # the pentagon's 82 terms as one (2^16, 82) sign table would take 43 MB;
+    # the gate-by-gate replay this replaced peaked at 6.8 MB on this call
+    pentagon = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    c = seeded_circuit(to_ising(assemble(pentagon), 5), 1, "RX", 0)
+    assert len(engine._pauli_events(c, BENCH_NOISE, 0, 3)[0]) > 0
+    simulate_noisy(c, BENCH_NOISE, 3, 0)
+    tracemalloc.start()
+    try:
+        simulate_noisy(c, BENCH_NOISE, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+# replayed states go through GEMMs (mixer blocks and phase angles); their
+# bytes, and so the counts, must not depend on OpenBLAS's thread count,
+# for batches of many columns (q = 9) and for a lone column (q = 16)
+_REPLAYS_BY_THREADS = """
+import hashlib, math
+import numpy as np
+from hamqaoa import NoiseModel, assemble, bind, build_ansatz, make_graph, to_ising
+from hamqaoa import simulate, simulate_noisy
+from hamqaoa.cli import reference_square_model
+pentagon = to_ising(assemble(make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])), 5)
+for model, p, shots in ((reference_square_model(), 8, 400), (pentagon, 1, 4)):
+    for mixer in ("RX", "RY"):
+        angles = 2 * math.pi * np.random.default_rng(p).random(2 * p)
+        c = bind(build_ansatz(model, p, mixer), angles[:p], angles[p:])
+        counts = simulate_noisy(c, NoiseModel(0.05, 0.2, 0.02), shots, 1).counts
+        amplitudes = simulate(c).amplitudes.tobytes()
+        print(hashlib.sha256(repr(list(counts.items())).encode() + amplitudes).hexdigest())
+"""
+
+
+def test_replays_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(hamqaoa.__file__).parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _REPLAYS_BY_THREADS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 @pytest.mark.parametrize(
