@@ -17,7 +17,6 @@ from . import __version__
 from .circuit import bind, build_ansatz
 from .engine import (
     DEFAULT_SHOTS,
-    SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
     noise_record,
@@ -25,7 +24,12 @@ from .engine import (
 )
 from .errors import HamqaoaError, MalformedInput, TooManyQubits
 from .graph import parse_graph
-from .hamiltonian import SPECTRUM_QUBIT_CAP, DiagonalHamiltonian, full_spectrum
+from .hamiltonian import (
+    SIMULATOR_QUBIT_CAP,
+    SPECTRUM_QUBIT_CAP,
+    DiagonalHamiltonian,
+    full_spectrum,
+)
 from .optimizer import OptimizerConfig, qaoa_solve
 from .qubo import IsingModel, assemble, from_term_list, strip_constant, to_ising, to_term_list
 

@@ -60,10 +60,9 @@ import numpy as np
 from .circuit import Gate, ParamCircuit, check_mixer
 from .errors import DimensionMismatch, UnboundParameter
 from .hamiltonian import (
-    SIMULATOR_QUBIT_CAP,
     DiagonalHamiltonian,
     _bit_strings,
-    _sign_table,
+    _half_sign_tables,
     check_qubits,
     energy_of,
 )
@@ -97,8 +96,7 @@ def lockstep_rows(q: int) -> int:
     return max(1, LOCKSTEP_AMPLITUDES >> q)
 
 
-# 2x2 matrices as (m00, m01, m10, m11) of Python numbers
-_PAULI = {"X": (0, 1, 1, 0), "Y": (0, -1j, 1j, 0), "Z": (1, 0, 0, -1)}
+# a 2x2 matrix as (m00, m01, m10, m11) of Python numbers
 _H = tuple(v / math.sqrt(2) for v in (1, 1, 1, -1))
 _PAULI_1Q = ("X", "Y", "Z")
 _PAULI_2Q = [
@@ -184,18 +182,10 @@ def _rotation(kind: str, theta: float) -> tuple:
     return c - 1j * s, 0, 0, c + 1j * s  # RZ
 
 
-# The three updates of _apply_1q, and the one each kind of gate takes:
-# exchange for m00 == m11 and m01 == m10, diagonal, or general.
-_EXCHANGE, _DIAGONAL, _GENERAL = range(3)
-_KIND = {
-    "H": _GENERAL, "RX": _EXCHANGE, "RY": _GENERAL, "RZ": _DIAGONAL,
-    "X": _EXCHANGE, "Y": _GENERAL, "Z": _DIAGONAL,
-}
-
-
-def _apply_1q(states: np.ndarray, m, k: int, kind: int) -> None:
+def _apply_1q(states: np.ndarray, m, k: int, exchange: bool) -> None:
     """Apply the 2x2 matrix ``m = (m00, m01, m10, m11)`` to qubit k (index
-    bit k-1), in place, by the update ``kind`` of its gate (``_KIND``).
+    bit k-1), in place: by the exchange update if ``exchange`` (an RX,
+    where m00 == m11 and m01 == m10), else by the general one.
 
     ``states`` is one state of shape (2^q,) or one state per column of
     shape (2^q, B), in C or F order.  Only axis 0 is split, into half
@@ -205,23 +195,17 @@ def _apply_1q(states: np.ndarray, m, k: int, kind: int) -> None:
     Products keep the scalar on the left, as numpy's fused complex
     multiply rounds by operand order, and every amplitude gets
     ``m_i0 * a0 + m_i1 * a1`` with each product rounded before the sum.
-    The exchange update (RX, X) does that in three full-size passes over
-    the swapped pair; the diagonal one (RZ, Z) skips its zero products,
-    which could only add signed zeros; the general one updates the two
-    halves in turn.
+    The exchange update does that in three full-size passes over the
+    swapped pair; the general one updates the two halves in turn.
     """
     m00, m01, m10, m11 = m
     psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
-    if kind == _EXCHANGE:
+    if exchange:
         swapped = m01 * psi[:, ::-1]
         np.multiply(m00, psi, psi)
         psi += swapped
         return
     a0, a1 = psi[:, 0], psi[:, 1]
-    if kind == _DIAGONAL:
-        np.multiply(m00, a0, a0)
-        np.multiply(m11, a1, a1)
-        return
     tmp = m10 * a0
     np.multiply(m00, a0, a0)
     a0 += m01 * a1
@@ -248,7 +232,7 @@ def _apply_gate(states: np.ndarray, g: Gate) -> None:
         _apply_cnot(states, g.targets[0], g.targets[1])
         return
     m = _H if g.kind == "H" else _rotation(g.kind, float(g.angle))
-    _apply_1q(states, m, g.targets[0], _KIND[g.kind])
+    _apply_1q(states, m, g.targets[0], g.kind == "RX")
 
 
 class _Segment(NamedTuple):
@@ -305,7 +289,6 @@ def _segments(gates, q: int) -> list:
     run; its RZ is a lone RZ and its CNOTs single gates."""
     segments, layers, signs = [], {}, {}
     i, n = 0, len(gates)
-    lo_bits = q // 2  # the sign tables split the register as energies() does
     while i < n:
         steps, masks, angles = [], [], []
         j = i
@@ -327,9 +310,7 @@ def _segments(gates, q: int) -> list:
         if steps:
             key = tuple(masks)
             if key not in signs:
-                m = np.array(masks, dtype=np.uint64)
-                s_lo = _sign_table(m & np.uint64((1 << lo_bits) - 1), lo_bits)
-                s_hi = _sign_table(m >> np.uint64(lo_bits), q - lo_bits)
+                s_hi, s_lo = _half_sign_tables(masks, q)
                 signs[key] = (np.ascontiguousarray(s_hi.T), s_lo)
             segments.append(
                 _Segment(i, tuple(steps), np.array(masks), np.array(angles), signs[key])
@@ -446,13 +427,12 @@ def _multiply_phases(states, seg: _Segment, weights, cols) -> None:
     one phase per row of the (R, T) step ``weights`` (one row for all
     columns), where a(x) = sum_t weights_t (-1)^parity(x & mask_t).
 
-    a is one stacked matmul of the half-register sign tables, split as
-    ``DiagonalHamiltonian.energies`` splits the register: the high table
-    times the low table scaled by the weights gives a over the indices
-    (xh, xl).  No (2^q, T) table and no full phase vector is built: the
-    high rows go in chunks of at most ``_CHUNK`` phases and, down to one
-    row, ``_GEMM_MACS`` per GEMM.  a is reduced to [-pi, pi] first, where
-    cos and sin are fastest.
+    a is one stacked matmul of the half-register sign tables
+    (``_half_sign_tables``): the high table times the low table scaled by
+    the weights gives a over the indices (xh, xl).  No (2^q, T) table and
+    no full phase vector is built: the high rows go in chunks of at most
+    ``_CHUNK`` phases and, down to one row, ``_GEMM_MACS`` per GEMM.  a
+    is reduced to [-pi, pi] first, where cos and sin are fastest.
     """
     s_hi, s_lo = seg.signs
     width = s_lo.shape[1]
@@ -649,12 +629,11 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     levels, inverse = h.shifted_levels()
     state = np.full((rows, dim), 1.0 / math.sqrt(dim), dtype=complex)
     if lockstep_rows(q) == 1:
-        kind = _KIND[mixer]
         for scale, beta in zip(scales, betas[0].tolist()):
             state = state * np.exp(scale * levels).take(inverse, axis=1)
             mat = _rotation(mixer, 2.0 * beta)
             for k in range(1, q + 1):
-                _apply_1q(state[0], mat, k, kind)
+                _apply_1q(state[0], mat, k, mixer == "RX")
         return state
     sizes = _block_sizes(q)
     tables = _block_tables(mixer, betas, sizes)

@@ -66,14 +66,11 @@ class DiagonalHamiltonian:
             # product of two half-register rows.  Every product is exactly
             # +-coeff and terms are added in order, so each entry is rounded
             # as a per-term pass over the full register would round it.
-            q = self.num_qubits
-            lo = q // 2
-            masks = np.array([m for m, _ in self.terms], dtype=np.uint64)
+            s_hi, s_lo = _half_sign_tables([m for m, _ in self.terms], self.num_qubits)
             coeffs = np.array([c for _, c in self.terms], dtype=float)
-            s_lo = _sign_table(masks & np.uint64((1 << lo) - 1), lo)
-            s_hi = coeffs[:, None] * _sign_table(masks >> np.uint64(lo), q - lo)
-            out = np.full(1 << q, self.constant)
-            block = out.reshape(1 << (q - lo), 1 << lo)
+            s_hi = coeffs[:, None] * s_hi
+            out = np.full(1 << self.num_qubits, self.constant)
+            block = out.reshape(s_hi.shape[1], s_lo.shape[1])
             term = np.empty_like(block)
             for hi_row, lo_row in zip(s_hi, s_lo):
                 block += np.multiply.outer(hi_row, lo_row, out=term)
@@ -108,6 +105,16 @@ def _sign_table(masks: np.ndarray, bits: int) -> np.ndarray:
     idx = np.arange(1 << bits, dtype=np.uint64)
     parity = np.bitwise_count(idx[None, :] & masks[:, None]) & 1
     return 1.0 - 2.0 * parity
+
+
+def _half_sign_tables(masks, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s_hi, s_lo)``: the sign tables of the masks on the high q - q // 2
+    and the low q // 2 bits of a q-qubit register, so that the sign of
+    mask t at index (xh, xl) is s_hi[t, xh] * s_lo[t, xl]."""
+    lo = q // 2
+    masks = np.asarray(masks, dtype=np.uint64)
+    s_lo = _sign_table(masks & np.uint64((1 << lo) - 1), lo)
+    return _sign_table(masks >> np.uint64(lo), q - lo), s_lo
 
 
 def bits_to_index(bits: str) -> int:

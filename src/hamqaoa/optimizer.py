@@ -21,7 +21,6 @@ import numpy as np
 from .circuit import bind, build_ansatz
 from .engine import (
     DEFAULT_SHOTS,
-    SIMULATOR_QUBIT_CAP,
     Distribution,
     NoiseModel,
     check_shots,
@@ -32,7 +31,7 @@ from .engine import (
     sample,
     simulate_noisy,
 )
-from .hamiltonian import DiagonalHamiltonian, check_qubits, full_spectrum
+from .hamiltonian import SIMULATOR_QUBIT_CAP, DiagonalHamiltonian, check_qubits, full_spectrum
 from .qubo import IsingModel
 
 TWO_PI = 2.0 * np.pi
@@ -51,6 +50,8 @@ class OptimizerConfig:
             raise ValueError("max_evals must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -14,6 +14,9 @@ _EYE = np.eye(2)
 _P0 = np.array([[1, 0], [0, 0]])
 _P1 = np.array([[0, 0], [0, 1]])
 _X = np.array([[0, 1], [1, 0]])
+# the Paulis as (m00, m01, m10, m11) of Python numbers, the layout of the
+# engine's 2x2 matrices
+PAULI = {"X": (0, 1, 1, 0), "Y": (0, -1j, 1j, 0), "Z": (1, 0, 0, -1)}
 
 
 def _rotation(kind, theta):
@@ -80,12 +83,12 @@ def random_circuit(rng, max_qubits=4, min_gates=5, max_gates=25):
     return ParamCircuit(q, tuple(gates), 0)
 
 
-def general_apply_1q(states, m, k, kind):
+def general_apply_1q(states, m, k, exchange):
     """A 2x2 matrix on qubit k, in place, updating the two halves in turn
     (or, when both off-diagonal entries are zero, each alone): the
     engine's kernel before its exchange-symmetric branch, kept as the
     reference for that branch.  Same layouts, operand order and arguments
-    as ``engine._apply_1q``; ``kind`` is ignored here."""
+    as ``engine._apply_1q``; ``exchange`` is ignored here."""
     m00, m01, m10, m11 = m
     psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
     a0, a1 = psi[:, 0], psi[:, 1]
@@ -104,7 +107,7 @@ def single_qaoa_state(h, gammas, betas, mixer="RX"):
     """``engine.qaoa_state`` before it took batches of angle rows: one
     state, evolved alone, with the energies shifted on every call; the
     reference for every row of a batch."""
-    from hamqaoa.engine import _KIND, Statevector, _apply_1q, _rotation
+    from hamqaoa.engine import Statevector, _apply_1q, _rotation
 
     q = h.num_qubits
     dim = 1 << q
@@ -114,7 +117,7 @@ def single_qaoa_state(h, gammas, betas, mixer="RX"):
         state = state * np.exp(-1j * float(gamma) * energies)
         mat = _rotation(mixer, 2.0 * float(beta))
         for k in range(1, q + 1):
-            _apply_1q(state, mat, k, _KIND[mixer])
+            _apply_1q(state, mat, k, mixer == "RX")
     return Statevector(state, q)
 
 
@@ -175,10 +178,11 @@ def per_shot_trajectories(circuit, nm, shots, seed):
     uniforms (tag 1), gate-error flags in chunks of whole shots (tag 2),
     one Pauli index per flagged gate, shot by shot and gate by gate
     (tag 3), readout flips (tag 4).  Gate math comes from
-    ``engine._apply_gate``, which the dense oracle already checks, and
-    each Pauli from ``engine._apply_1q`` with the engine's ``_PAULI``.
+    ``engine._apply_gate``, which the dense oracle already checks; each
+    Pauli of an error is its ``PAULI`` matrix, applied by
+    ``general_apply_1q`` on its own qubit.
     """
-    from hamqaoa.engine import _KIND, _PAULI, _apply_1q, _apply_gate
+    from hamqaoa.engine import _apply_gate
     from hamqaoa.hamiltonian import index_to_bits
 
     q, gates = circuit.num_qubits, circuit.gates
@@ -198,10 +202,10 @@ def per_shot_trajectories(circuit, nm, shots, seed):
             pair = _PAULI_2Q[pauli_rng.integers(len(_PAULI_2Q))]
             for label, qubit in zip(pair, g.targets):
                 if label != "I":
-                    _apply_1q(state, _PAULI[label], qubit, _KIND[label])
+                    general_apply_1q(state, PAULI[label], qubit, False)
         else:
             label = _PAULI_1Q[pauli_rng.integers(3)]
-            _apply_1q(state, _PAULI[label], g.targets[0], _KIND[label])
+            general_apply_1q(state, PAULI[label], g.targets[0], False)
 
     def draw(state, u):
         cum = np.cumsum(np.abs(state) ** 2)

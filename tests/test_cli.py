@@ -358,6 +358,7 @@ _QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-eva
         (["spectrum"], "need --graph or --terms"),
         (["spectrum", "--terms", "{not_json}"], "invalid JSON"),
         (["solve", "--shots", "0", "--graph", "{triangle}"], "shots must be in"),
+        (["solve", *_QUICK_SOLVE, "--seed", "-1"], "seed must be >= 0"),
         (
             ["solve", "--p", "100000000", "--max-evals", "1", "--graph", "{triangle}"],
             "layer count",
@@ -381,8 +382,8 @@ _QUICK_SOLVE = ["--graph", "{triangle}", "--p", "1", "--shots", "10", "--max-eva
     ],
     ids=[
         "noise-value", "noise-repeated", "no-model", "terms-not-json", "zero-shots",
-        "layers-past-cap", "compile-out", "spectrum-out", "spectrum-csv", "solve-csv",
-        "solve-trace-csv", "compare-csv", "spectrum-out-device-full",
+        "negative-seed", "layers-past-cap", "compile-out", "spectrum-out", "spectrum-csv",
+        "solve-csv", "solve-trace-csv", "compare-csv", "spectrum-out-device-full",
     ],
 )
 def test_input_error_exits_2_without_traceback(capsys, triangle_file, tmp_path, argv, message):

@@ -34,6 +34,7 @@ from hamqaoa.circuit import Gate, ParamCircuit
 from hamqaoa.errors import DimensionMismatch, TooManyQubits, UnboundParameter
 from hamqaoa.qubo import IsingModel
 from oracles import (
+    PAULI,
     _embed_cnot,
     _embed_single,
     _rotation,
@@ -613,7 +614,7 @@ def inject(states, g, k):
     labels = engine._PAULI_2Q[k] if g.kind == "CNOT" else (engine._PAULI_1Q[k],)
     for label, qubit in zip(labels, g.targets):
         if label != "I":
-            engine._apply_1q(states, engine._PAULI[label], qubit, engine._KIND[label])
+            general_apply_1q(states, PAULI[label], qubit, False)
 
 
 def gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli):
@@ -776,6 +777,65 @@ def test_near_miss_runs_replay_as_gate_by_gate(case):
     columns.append([])
     assert_term_runs_replay_as_gates(c, columns, len(columns))
     assert_term_runs_replay_as_gates(c, columns, 5)
+
+
+def record_single_gates(monkeypatch):
+    """Every gate that reaches ``engine._apply_gate``, and every (gate
+    kind, matrix, exchange) that reaches ``engine._apply_1q``, the kind
+    None for a call from outside ``_apply_gate``."""
+    gates, matrices, current = [], [], [None]
+    apply_gate, apply_1q = engine._apply_gate, engine._apply_1q
+
+    def record_gate(states, g):
+        gates.append(g)
+        current[0] = g.kind
+        apply_gate(states, g)
+        current[0] = None
+
+    def record_1q(states, m, k, exchange):
+        matrices.append((current[0], m, exchange))
+        apply_1q(states, m, k, exchange)
+
+    monkeypatch.setattr(engine, "_apply_gate", record_gate)
+    monkeypatch.setattr(engine, "_apply_1q", record_1q)
+    return gates, matrices
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "triangle-p2-RX", "triangle-p2-RY", "square-p8-RX", "square-p8-RY",
+        *(f"random-{seed}" for seed in range(6)),
+    ],
+)
+def test_single_gates_take_no_rz_and_no_pauli(
+    case, triangle_model, square_fixture_model, monkeypatch
+):
+    # every RZ is a step of a diagonal segment and every error a pending
+    # Pauli, so single gates are H, RX and RY, and only RX exchanges
+    name, *rest = case.split("-")
+    if name == "random":
+        rng = np.random.default_rng(int(rest[0]))
+        c = random_circuit(rng, max_qubits=5, min_gates=10, max_gates=40)
+        gates = list(c.gates)
+        for near_miss, _ in _NEAR_MISSES.values():
+            at = int(rng.integers(len(gates) + 1))
+            gates[at:at] = near_miss
+        c = ParamCircuit(max(c.num_qubits, 3), tuple(gates), 0)
+    else:
+        model = triangle_model if name == "triangle" else square_fixture_model
+        c = seeded_circuit(model, int(rest[0][1:]), rest[1], 6)
+    shots = 40 if name == "square" else 200
+    gates, matrices = record_single_gates(monkeypatch)
+    simulate(c)
+    for nm in (NoiseModel(), BENCH_NOISE, HEAVY_NOISE):
+        simulate_noisy(c, nm, shots, 7)
+    assert gates and not [g for g in gates if g.kind == "RZ"]
+    assert {kind for kind, _, _ in matrices} <= {"H", "RX", "RY"}
+    assert not [m for _, m, _ in matrices if m in PAULI.values()]
+    assert all(exchange == (kind == "RX") for kind, _, exchange in matrices)
+    if name == "random":  # the near misses hold a lone RX and an H
+        assert {exchange for _, _, exchange in matrices} == {False, True}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1000,12 +1060,13 @@ def test_trajectories_match_density_matrix(
 def test_exchange_symmetric_kernel_matches_general_kernel(q):
     rng = np.random.default_rng(q)
     mats = [engine._rotation("RX", t) for t in [*rng.uniform(-7, 7, 3).tolist(), 0.0]]
-    mats.append(engine._PAULI["X"])
+    mats.append(PAULI["X"])
 
     def states():
         yield rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
         yield rng.normal(size=(1 << q, 3)) + 1j * rng.normal(size=(1 << q, 3))
-        # F-ordered, as the gather ``batch[:, cols]`` in ``_replay``
+        # F-ordered: the kernel takes either order, as it splits only
+        # axis 0 and so never copies
         batch = rng.normal(size=(1 << q, 5)) + 1j * rng.normal(size=(1 << q, 5))
         yield batch[:, [4, 0, 2]]
 
@@ -1013,8 +1074,8 @@ def test_exchange_symmetric_kernel_matches_general_kernel(q):
         for k in range(1, q + 1):
             for state in states():
                 expected = state.copy()
-                engine._apply_1q(state, mat, k, engine._EXCHANGE)
-                general_apply_1q(expected, mat, k, engine._EXCHANGE)
+                engine._apply_1q(state, mat, k, True)
+                general_apply_1q(expected, mat, k, True)
                 assert state.tobytes() == expected.tobytes()
 
 

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from hamqaoa.hamiltonian import index_to_bits
 
 
 def test_parse_triangle(triangle_file):
-    g = parse_graph(open(triangle_file).read())
+    g = parse_graph(Path(triangle_file).read_text())
     assert g.n == 3
     assert len(g.edges) == 3
 

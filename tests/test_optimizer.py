@@ -79,6 +79,8 @@ def test_config_validation():
         OptimizerConfig(max_evals=0)
     with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimizerConfig(seed=-1)
 
 
 def test_minimize_needs_a_parameter():
