@@ -40,7 +40,9 @@ array, so that one numpy operation per step serves them all; each state
 keeps the bytes it would have evolved alone.  Every cost layer takes its
 phase once per distinct energy level and gathers it.  Up to 9 qubits,
 where rows share batches, each mixer layer is a few Kronecker blocks of
-at most 4 qubits, one stacked matmul per block; a lone column (every
+at most 4 qubits, each one real GEMM on the float view of the states:
+the block's qubits are the lowest axis, and one transpose copy then
+rotates the next block's qubits into that place.  A lone column (every
 state from q = 10) takes one 2x2 rotation per qubit.
 
 Randomness is split into four counter-derived substreams of the user
@@ -78,10 +80,13 @@ SHOT_CAP = 1 << 20
 _BATCH_AMPLITUDES = 1 << 16
 
 # Most amplitudes of one batch of QAOA states evolved in lockstep.  Timed
-# at p=4 against one state at a time: 3 states of 2^9 amplitudes ran 1.31x
-# faster together and 2 of 2^9 1.08x, but 2 of 2^10 only 0.97x.  24 KiB at
-# complex128, far below the 256 KiB from which numpy reuses temporaries
-# (which would swap the operand order of ``state * phase``).
+# at p=4 against one state at a time: 3 states of 2^9 amplitudes ran 1.52x
+# faster together and 2 of 2^9 1.33x.  2 of 2^10 ran 1.1x faster together
+# than alone through the same blocks, and 1.9x faster than alone through
+# the per-qubit rotations they take from q = 10, whose bytes a larger
+# value would change.  24 KiB at complex128, far below the 256 KiB from
+# which numpy reuses temporaries (which would swap the operand order of
+# ``state * phase``).
 LOCKSTEP_AMPLITUDES = 3 << 9
 
 
@@ -547,23 +552,38 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
 
 
 def _block_indices(b: int) -> dict:
-    """Per mixer, the (2^b, 2^b) index of each block entry [i, j] into the
-    entries of one layer and row (``_block_tables``): w = popcount(i ^ j)
-    for RX, and w plus b + 1 where popcount(j & ~i) is odd for RY."""
+    """Per mixer, the flat (2^b, 2^b) index of each block entry [i, j] into
+    the entries of one layer and row (``_block_entries``), and the flat
+    (2^(b+1), 2^b) index of the complex pairs of the block's real form.
+
+    Entry [i, j] is u = entry 2k, and i u is entry 2k + 1: w = popcount(i ^
+    j) for RX, and w plus b + 1 where popcount(j & ~i) is odd for RY.  The
+    real form R acts on amplitudes as interleaved (re, im) pairs from the
+    right: row (j, 0) of R holds the pairs of u[i, j] over i, and row (j,
+    1) those of i u[i, j].  A flat index gathers faster than a 2-d one.
+    """
     ones = np.array([bin(v).count("1") for v in range(1 << b)])
     i, j = np.arange(1 << b)[:, None], np.arange(1 << b)
     flips = ones[i ^ j]
-    return {"RX": flips, "RY": flips + (b + 1) * (ones[j & ~i] % 2)}
+    indices = {}
+    for mixer, k in (("RX", flips), ("RY", flips + (b + 1) * (ones[j & ~i] % 2))):
+        real = 2 * k.T[:, None, :] + np.arange(2)[:, None]
+        indices[mixer] = (2 * k.ravel(), real.ravel())
+    return indices
 
 
-# Most qubits of one mixer block, and the block indices of each size
+# Most qubits of one mixer block, and the complex and the real block
+# indices of each size
 _BLOCK_QUBITS = 4
 _BLOCK_INDICES = {b: _block_indices(b) for b in range(1, _BLOCK_QUBITS + 1)}
-# Real and imaginary part of each block entry's factor, per sign (RY
-# only) and count w of flipped bits: (-i)^w for RX, +1 and -1 for RY
+# Each block entry's factor f and i f as (re, im, re, im), per sign (RY
+# only) and count w of flipped bits: f = (-i)^w for RX, +1 and -1 for RY
 _ENTRY_FACTORS = {
-    "RX": np.array([[((1, 0), (0, -1), (-1, 0), (0, 1))[w % 4] for w in range(5)]], float),
-    "RY": np.array([[(1, 0)] * 5, [(-1, 0)] * 5], float),
+    "RX": np.array(
+        [[((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))[w % 4] for w in range(5)]],
+        float,
+    ),
+    "RY": np.array([[(1, 0, 0, 1)] * 5, [(-1, 0, 0, -1)] * 5], float),
 }
 
 
@@ -574,32 +594,52 @@ def _block_sizes(q: int) -> tuple:
     return tuple(q // n + (i < q % n) for i in range(n))
 
 
-def _block_tables(mixer: str, betas, sizes) -> dict:
-    """For each block size b, every layer's and column's 2^b x 2^b mixer
-    block, the Kronecker product of b copies of ``_rotation(mixer, 2 beta)``,
-    as an array of shape (p, B, 2^b, 2^b).
+def _block_entries(mixer: str, betas, sizes) -> dict:
+    """For each block size b, the K distinct entries u (b + 1 for RX,
+    2 (b + 1) for RY) of every layer's and column's mixer block, the
+    Kronecker product of b copies of ``_rotation(mixer, 2 beta)``, each
+    followed by i u, as complex arrays of shape (p, B, 2 K) that
+    ``_BLOCK_INDICES`` gathers from.
 
     Entry [i, j] is c^(b-w) s^w with w = popcount(i ^ j), times (-i)^w for
     RX and (-1)^popcount(j & ~i) for RY, c and s the cosine and sine of
     beta.  The powers are taken once per call for all layers, by running
-    products, and gathered through ``_BLOCK_INDICES``.
+    products, and every entry is one multiply by ``_ENTRY_FACTORS``.
     """
     top = max(sizes, default=0)
-    # per layer and column: c^k and s^k for k = 0..top, multiplied up
-    powers = np.empty((*betas.T.shape, 2, top + 1))
-    powers[..., 0] = 1.0
-    powers[..., 0, 1:] = np.cos(betas.T)[..., None]
-    powers[..., 1, 1:] = np.sin(betas.T)[..., None]
-    for k in range(2, top + 1):
-        powers[..., k] *= powers[..., k - 1]
-    tables = {}
+    # per layer and column: c^k and s^k for k = 0..top, as running products
+    powers = np.ones((*betas.T.shape, 2, top + 1))
+    np.cos(betas.T[..., None], out=powers[..., 0, 1:])
+    np.sin(betas.T[..., None], out=powers[..., 1, 1:])
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    entries = {}
     for b in set(sizes):
         terms = powers[..., 0, b::-1] * powers[..., 1, : b + 1]  # c^(b-w) s^w
         factors = _ENTRY_FACTORS[mixer][:, : b + 1]
-        entries = (terms[..., None, :, None] * factors).view(complex)
-        entries = entries.reshape(*terms.shape[:-1], factors.size // 2)
-        tables[b] = entries.take(_BLOCK_INDICES[b][mixer], axis=-1)
-    return tables
+        pairs = terms[..., None, :, None] * factors
+        entries[b] = pairs.reshape(*terms.shape[:-1], factors.size).view(complex)
+    return entries
+
+
+def _block_tables(mixer: str, betas, sizes) -> dict:
+    """For each block size b, every layer's and column's mixer block
+    (``_block_entries``), of shape (p, B, 2^b, 2^b)."""
+    return {
+        b: e.take(_BLOCK_INDICES[b][mixer][0], axis=-1).reshape(*e.shape[:-1], 1 << b, 1 << b)
+        for b, e in _block_entries(mixer, betas, sizes).items()
+    }
+
+
+def _real_block_tables(mixer: str, betas, sizes) -> dict:
+    """For each block size b, the real form R (``_block_indices``) of every
+    layer's and column's mixer block U, of shape (p, B, 2^(b+1), 2^(b+1)):
+    the float view of the amplitudes x times R is the float view of U x."""
+    return {
+        b: e.take(_BLOCK_INDICES[b][mixer][1], axis=-1)
+        .view(float)
+        .reshape(*e.shape[:-1], 2 << b, 2 << b)
+        for b, e in _block_entries(mixer, betas, sizes).items()
+    }
 
 
 def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.ndarray:
@@ -607,21 +647,26 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     (B, 2^q) array, each with the bytes of its row evolved alone.
 
     Each cost layer takes one ``exp`` per distinct energy level and row
-    (``shifted_levels()``), gathered into a fresh (B, 2^q) phase: every
-    entry is the same product of the same bytes as over all 2^q energies.
-    The form ``state * <fresh phase>`` matters: numpy reuses a temporary
-    of 256 KiB or more, which swaps the operands of the complex multiply
-    exactly as for a state evolved alone, while an in-place multiply
-    would not.
+    (``shifted_levels()``; up to 9 qubits, for all layers at once),
+    gathered into a fresh (B, 2^q) phase: every entry is the same product
+    of the same bytes as over all 2^q energies.  The form ``state * <fresh
+    phase>`` matters: numpy reuses a temporary of 256 KiB or more, which
+    swaps the operands of the complex multiply exactly as for a state
+    evolved alone, while an in-place multiply would not.
 
     Where rows share batches (``lockstep_rows(q) > 1``, up to 9 qubits),
-    each mixer layer is a Kronecker block U per ``_block_sizes(q)`` entry
-    (``_block_tables``), one stacked matmul per block: the lowest block
-    as ``x @ U.T`` on (B, high, 2^b), every other as ``U @ x`` on (B,
-    high, 2^b, low).  Each row's products are those of the row alone, and
-    no GEMM has more than 4,096 multiply-adds (m n k), far below where
-    OpenBLAS splits one across threads.  A lone column (from 10 qubits)
-    takes one 2x2 rotation per qubit.
+    each mixer layer is a Kronecker block per ``_block_sizes(q)`` entry,
+    each one real GEMM on the lowest b qubits: the float view of the
+    states as (B, high, 2^(b+1)) times the block's real form
+    (``_real_block_tables``).  One transpose copy turns the product, as
+    complex (B, high, 2^b), into (B, 2^b, high), so that the next block's
+    qubits are lowest; after the last block the qubits are in order
+    again.  A single block (q <= 4) needs no transpose.  Each row's
+    products are those of the row alone, and no GEMM has more than 16,384
+    multiply-adds (m n k: 64 x 16 x 16 at q = 9, 16 x 32 x 32 at q = 8),
+    far below the ``_GEMM_MACS`` up to which OpenBLAS runs a GEMM on one
+    thread.  A lone column (from 10 qubits) takes one 2x2 rotation per
+    qubit.
     """
     q = h.num_qubits
     dim, rows = 1 << q, len(gammas)
@@ -636,17 +681,14 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
                 _apply_1q(state[0], mat, k, mixer == "RX")
         return state
     sizes = _block_sizes(q)
-    tables = _block_tables(mixer, betas, sizes)
-    for layer, scale in enumerate(scales):
-        state = state * np.exp(scale * levels).take(inverse, axis=1)
-        low = 0
+    tables = _real_block_tables(mixer, betas, sizes)
+    for layer, phase in enumerate(np.exp(scales * levels)):
+        state = state * phase.take(inverse, axis=1)
         for b in sizes:
-            u = tables[b][layer]
-            if low:
-                state = u[:, None] @ state.reshape(rows, -1, 1 << b, 1 << low)
-            else:
-                state = state.reshape(rows, -1, 1 << b) @ u.transpose(0, 2, 1)
-            low += b
+            x = state.view(float).reshape(rows, -1, 2 << b)
+            state = (x @ tables[b][layer]).view(complex)
+            if len(sizes) > 1:
+                state = state.transpose(0, 2, 1).copy()
         state = state.reshape(rows, dim)
     return state
 

@@ -270,6 +270,14 @@ def test_lockstep_batches_stay_below_numpy_temporary_elision():
     assert engine.LOCKSTEP_AMPLITUDES * np.dtype(complex).itemsize < 256 * 1024
 
 
+def kronecker_block(mixer, beta, b):
+    m = np.array(engine._rotation(mixer, 2.0 * beta)).reshape(2, 2)
+    block = np.ones((1, 1))
+    for _ in range(b):
+        block = np.kron(m, block)
+    return block
+
+
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
 @pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
 def test_block_tables_are_kronecker_products_of_rotations(b, mixer):
@@ -278,11 +286,67 @@ def test_block_tables_are_kronecker_products_of_rotations(b, mixer):
     assert tables.shape == (4, 2, 1 << b, 1 << b) and tables.flags.c_contiguous
     for r, row in enumerate(betas):
         for layer, beta in enumerate(row.tolist()):
-            m = np.array(engine._rotation(mixer, 2.0 * beta)).reshape(2, 2)
-            expected = np.ones((1, 1))
-            for _ in range(b):
-                expected = np.kron(m, expected)
+            expected = kronecker_block(mixer, beta, b)
             assert np.max(np.abs(tables[layer, r] - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+@pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
+def test_real_block_tables_are_real_forms_of_the_kronecker_products(b, mixer):
+    # R acts on amplitudes as interleaved (re, im) pairs from the right:
+    # R[(j, 0), (i, 0)] = R[(j, 1), (i, 1)] = Re U[i, j], R[(j, 0), (i, 1)]
+    # = Im U[i, j] and R[(j, 1), (i, 0)] = -Im U[i, j]
+    betas = np.array([[0.0, math.pi / 2, -math.pi / 2], [0.7, -2.1, 3e-9]])
+    tables = engine._real_block_tables(mixer, betas, (b,))[b]
+    d = 1 << b
+    assert tables.shape == (3, 2, 2 * d, 2 * d) and tables.flags.c_contiguous
+    rng = np.random.default_rng(b)
+    for r, row in enumerate(betas):
+        for layer, beta in enumerate(row.tolist()):
+            u = kronecker_block(mixer, beta, b)
+            expected = np.empty((d, 2, d, 2))
+            expected[:, 0, :, 0] = expected[:, 1, :, 1] = u.T.real
+            expected[:, 0, :, 1] = u.T.imag
+            expected[:, 1, :, 0] = -u.T.imag
+            real = tables[layer, r]
+            assert np.max(np.abs(real - expected.reshape(2 * d, 2 * d))) <= 1e-15
+            x = rng.normal(size=(3, 2 * d))
+            mixed = (x @ real).view(complex)
+            assert np.max(np.abs(mixed - x.view(complex) @ u.T)) <= 1e-14
+
+
+def blocks_by_running_products(mixer, betas, b):
+    # entry [i, j] of every block, one at a time: c^(b-w) s^w with the
+    # powers multiplied up one factor at a time, times (-i)^w for RX and
+    # (-1)^popcount(j & ~i) for RY, w = popcount(i ^ j)
+    d = 1 << b
+    cos, sin = np.cos(betas.T), np.sin(betas.T)
+    blocks = np.empty((*betas.T.shape, d, d), dtype=complex)
+    for index in np.ndindex(betas.T.shape):
+        c_powers, s_powers = [1.0], [1.0]
+        for _ in range(b):
+            c_powers.append(c_powers[-1] * float(cos[index]))
+            s_powers.append(s_powers[-1] * float(sin[index]))
+        for i in range(d):
+            for j in range(d):
+                w = bin(i ^ j).count("1")
+                term = c_powers[b - w] * s_powers[w]
+                if mixer == "RX":
+                    re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[w % 4]
+                else:
+                    re, im = (-1, 0) if bin(j & ~i).count("1") % 2 else (1, 0)
+                blocks[index][i, j] = complex(term * re, term * im)
+    return blocks
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+@pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
+def test_block_tables_keep_the_bytes_of_running_products(b, mixer):
+    # the replay's complex blocks and the real forms share their entries;
+    # the complex blocks keep the bytes of these products, entry by entry
+    betas = np.array([[0.0, math.pi / 2, 0.7, -2.1], [1.3, -math.pi / 2, 5.9, 3e-9]])
+    tables = engine._block_tables(mixer, betas, (b,))[b]
+    assert tables.tobytes() == blocks_by_running_products(mixer, betas, b).tobytes()
 
 
 # mixer blocks run as GEMMs through OpenBLAS; their bytes must not depend
