@@ -62,6 +62,7 @@ import numpy as np
 from .circuit import Gate, ParamCircuit, check_mixer
 from .errors import DimensionMismatch, UnboundParameter
 from .hamiltonian import (
+    _GEMM_MACS,
     DiagonalHamiltonian,
     _bit_strings,
     _half_sign_tables,
@@ -387,9 +388,6 @@ def _evolve(states: np.ndarray, segments, gates, events=None) -> np.ndarray:
     return states
 
 
-# Most multiply-adds of one GEMM: OpenBLAS runs a GEMM of at most 4 x 65,536
-# on one thread, so its products do not depend on the thread count.
-_GEMM_MACS = 1 << 18
 # Most entries of one chunk of phases, of a mixer block's output or of a
 # pending-Pauli gather: the temporaries of every pass stay this small.
 _CHUNK = 1 << 13

@@ -5,7 +5,11 @@ diagonal in the computational basis: each basis state is an eigenstate
 and its energy is a signed sum over term parities.  One vector of 2^q
 energies, computed once per Hamiltonian, answers every question about it:
 expectation, phase, ground set, gap and level table.  Nothing is ever
-diagonalized.
+diagonalized.  The vector is one chunked GEMM of half-register sign
+tables, the constant and then each term added in order, so it has the
+bytes of a per-term pass over the full register (an exact zero reads
++0.0); ``DiagonalHamiltonian.energies`` gives the shape rules that keep
+that order.
 
 ``qubo_oracle`` evaluates the cycle penalty definition literally on the
 full x[v, j] matrix (fixed first row/column included) and is kept
@@ -24,6 +28,13 @@ from .qubo import IsingModel
 SPECTRUM_QUBIT_CAP = 20
 # Most qubits whose full 2^q vector (energies, amplitudes) is ever built.
 SIMULATOR_QUBIT_CAP = 24
+
+# Most multiply-adds of one GEMM: OpenBLAS runs a GEMM of at most 4 x 65,536
+# on one thread, so its products do not depend on the thread count.
+_GEMM_MACS = 1 << 18
+# The smallest register ``energies()`` builds: 3 low and 3 high bits keep
+# both GEMM sides 8 wide, where OpenBLAS adds each dot product in order.
+_GEMM_MIN_QUBITS = 6
 
 
 @dataclass(frozen=True)
@@ -59,21 +70,38 @@ class DiagonalHamiltonian:
 
         Computed on the first call; every call returns that same
         read-only array.
+
+        A term's sign on index (xh, xl) is its sign on the high bits times
+        its sign on the low bits (``_half_sign_tables``), so the vector,
+        as a (2^hi, 2^lo) block, is one GEMM: the transposed high sign
+        table, (2^hi, T+1), times the low table scaled by the
+        coefficients, (T+1, 2^lo), the constant leading as a mask-0 term.
+        Every product is exactly +-coeff, and OpenBLAS adds each dot
+        product in term order once both GEMM sides are at least 8 wide, so
+        every entry is rounded as a per-term pass over the full register
+        would round it: the constant first, then the terms in order.  Two
+        shape rules keep both sides that wide: a register under 6 qubits
+        is built as a 6-qubit one and its first 2^q entries kept, and each
+        GEMM takes ``_GEMM_MACS`` // ((T+1) 2^lo) high rows, rounded down
+        to a multiple of 8 and at least 8 (the Haswell kernel sums an odd
+        tail row, and the Nehalem kernel a tail of two, out of order).
+        The GEMM's sums start at +0.0, so an exactly-zero energy is +0.0,
+        never -0.0.  Past 255 terms a BLAS kernel may split each dot
+        product into blocks of terms, which can round differently.
         """
         if self._energies is None:
-            # A term's sign on index (hi, lo) is its sign on the high bits
-            # times its sign on the low bits, so each term adds the outer
-            # product of two half-register rows.  Every product is exactly
-            # +-coeff and terms are added in order, so each entry is rounded
-            # as a per-term pass over the full register would round it.
-            s_hi, s_lo = _half_sign_tables([m for m, _ in self.terms], self.num_qubits)
-            coeffs = np.array([c for _, c in self.terms], dtype=float)
-            s_hi = coeffs[:, None] * s_hi
-            out = np.full(1 << self.num_qubits, self.constant)
-            block = out.reshape(s_hi.shape[1], s_lo.shape[1])
-            term = np.empty_like(block)
-            for hi_row, lo_row in zip(s_hi, s_lo):
-                block += np.multiply.outer(hi_row, lo_row, out=term)
+            q = max(self.num_qubits, _GEMM_MIN_QUBITS)
+            masks = [0] + [m for m, _ in self.terms]
+            coeffs = np.array([self.constant] + [c for _, c in self.terms], dtype=float)
+            s_hi, s_lo = _half_sign_tables(masks, q)
+            a, b = s_hi.T, coeffs[:, None] * s_lo
+            out = np.empty(1 << q)
+            block = out.reshape(len(a), b.shape[1])
+            rows = max(8, (_GEMM_MACS // b.size) & -8)
+            for lo in range(0, len(a), rows):
+                np.matmul(a[lo : lo + rows], b, out=block[lo : lo + rows])
+            if q > self.num_qubits:
+                out = out[: 1 << self.num_qubits].copy()
             out.flags.writeable = False
             object.__setattr__(self, "_energies", out)
         return self._energies

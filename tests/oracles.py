@@ -3,7 +3,6 @@
 The dense simulator builds every gate as an explicit Kronecker-product
 matrix and multiplies them out; it shares no code with the engine.
 """
-import itertools
 import math
 from fractions import Fraction
 
@@ -245,55 +244,43 @@ def per_shot_trajectories(circuit, nm, shots, seed):
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
-def _select(axes, bits, q):
-    """Index fixing the given axes of a density tensor to the given bits."""
-    idx = [slice(None)] * (2 * q)
-    for axis, v in zip(axes, bits):
-        idx[axis] = v
-    return tuple(idx)
-
-
-def _conjugate(rho, mat, qubits, q):
-    """M rho M^dagger for a 2^k x 2^k matrix M acting on the given qubits;
-    rho is a tensor with q row axes then q column axes, axis q-k (row)
-    and 2q-k (column) belonging to qubit k."""
-    combos = list(itertools.product((0, 1), repeat=len(qubits)))
+def _conjugation(mat):
+    """The superoperator of rho -> M rho M^dagger for a 2^k x 2^k matrix M:
+    (M rho M^dagger)[a, a'] = sum_bb' M[a, b] conj(M)[a', b'] rho[b, b'],
+    indexed (a, a') by (b, b')."""
     mat = np.asarray(mat, dtype=complex)
-    # rows: (M rho)[a] = sum_b M[a, b] rho[b]; columns: the same with conj(M)
-    for axes, m in (([q - b for b in qubits], mat), ([2 * q - b for b in qubits], mat.conj())):
-        out = np.zeros_like(rho)
-        for a, bits_a in enumerate(combos):
-            for b, bits_b in enumerate(combos):
-                if m[a, b] != 0:
-                    out[_select(axes, bits_a, q)] += m[a, b] * rho[_select(axes, bits_b, q)]
-        rho = out
-    return rho
+    return np.kron(mat, mat.conj())
 
 
-def _depolarize(rho, p, qubits, q):
-    """(1 - p) rho + p/(4^k - 1) * sum of P rho P over the non-identity
-    Paulis P on the k touched qubits, where that sum is
-    2^(2k) (Tr_touched rho (x) I/2^k) - rho."""
-    if p == 0.0:
-        return rho
-    k, share = len(qubits), p / (4 ** len(qubits) - 1)
-    # the blocks with touched rows and columns fixed to the same bits;
-    # the partial trace is their sum
-    axes = [q - b for b in qubits] + [2 * q - b for b in qubits]
-    blocks = [_select(axes, bits * 2, q) for bits in itertools.product((0, 1), repeat=k)]
-    reduced = sum(rho[idx] for idx in blocks)
-    out = (1 - p - share) * rho
-    for idx in blocks:
-        out[idx] += share * 2**k * reduced
-    return out
+def _depolarizing(p, k):
+    """The superoperator of (1 - p) rho + p/(4^k - 1) * sum of P rho P over
+    the non-identity Paulis P on k qubits, where that sum is
+    2^(2k) (Tr rho (x) I/2^k) - rho: |b><b'| goes to
+    (1 - p - share) |b><b'| + share 2^k delta_bb' I."""
+    share = p / (4**k - 1)
+    eye = np.eye(1 << k).reshape(-1)
+    return (1 - p - share) * np.eye(4**k) + share * 2**k * np.outer(eye, eye)
+
+
+def _superoperate(rho, sup, qubits, q):
+    """Apply a 4^k x 4^k superoperator to the k given qubits of rho, a
+    tensor with q row axes then q column axes, axis q-j (row) and 2q-j
+    (column) belonging to qubit j.  The superoperator's index is the
+    touched row bits then the touched column bits, the first qubit the
+    most significant of each."""
+    k2 = 2 * len(qubits)
+    axes = [q - j for j in qubits] + [2 * q - j for j in qubits]
+    out = np.tensordot(sup.reshape([2] * (2 * k2)), rho, axes=(list(range(k2, 2 * k2)), axes))
+    return np.moveaxis(out, range(k2), axes)
 
 
 def density_matrix_distribution(circuit, nm):
     """Exact outcome distribution of the noisy circuit, {bits: probability}.
 
-    Evolves the density matrix: each gate as U rho U^dagger, then the
-    depolarizing channel of the noise model on the gate's qubits (p2 for
-    CNOT, p1 otherwise), then independent readout flips per bit.  Shares
+    Evolves the density matrix gate by gate: each gate as U rho U^dagger,
+    then the depolarizing channel of the noise model on the gate's qubits
+    (p2 for CNOT, p1 otherwise), the two composed into one superoperator
+    on the gate's qubits; then independent readout flips per bit.  Shares
     no code with the engine; for up to 9 qubits.
     """
     q = circuit.num_qubits
@@ -303,12 +290,11 @@ def density_matrix_distribution(circuit, nm):
     rho[(0,) * (2 * q)] = 1.0
     for g in circuit.gates:
         if g.kind == "CNOT":
-            rho = _conjugate(rho, _CNOT, list(g.targets), q)
-            rho = _depolarize(rho, nm.p2, list(g.targets), q)
+            mat, p = _CNOT, nm.p2
         else:
-            mat = _H if g.kind == "H" else _rotation(g.kind, g.angle)
-            rho = _conjugate(rho, mat, list(g.targets), q)
-            rho = _depolarize(rho, nm.p1, list(g.targets), q)
+            mat, p = (_H if g.kind == "H" else _rotation(g.kind, g.angle)), nm.p1
+        sup = _depolarizing(p, len(g.targets)) @ _conjugation(mat)
+        rho = _superoperate(rho, sup, list(g.targets), q)
     probs = np.real(np.diagonal(rho.reshape(1 << q, 1 << q))).reshape([2] * q)
     for axis in range(q):
         probs = (1 - nm.readout_flip) * probs + nm.readout_flip * np.flip(probs, axis)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamqaoa
 from hamqaoa import (
     DiagonalHamiltonian,
     assemble,
@@ -11,6 +16,7 @@ from hamqaoa import (
     full_spectrum,
     make_graph,
     qubo_oracle,
+    strip_constant,
     to_ising,
 )
 from hamqaoa.errors import LengthMismatch, MalformedInput, TooManyQubits
@@ -134,6 +140,20 @@ def _random_terms(q, num_terms, seed):
     )
 
 
+def _full_ising(q, seed):
+    """Every linear and pair term of q qubits, with normal coefficients."""
+    rng = np.random.default_rng(seed)
+    masks = [1 << i for i in range(q)]
+    masks += [(1 << i) | (1 << j) for i in range(q) for j in range(i + 1, q)]
+    terms = tuple((m, float(rng.normal())) for m in masks)
+    return DiagonalHamiltonian(q, terms, float(rng.normal()))
+
+
+def _rescaled(n, edges, rescale):
+    m = to_ising(assemble(make_graph(n, edges)), n)
+    return DiagonalHamiltonian.from_ising(strip_constant(m, rescale=rescale))
+
+
 def _energy_cases():
     graphs = {
         "triangle": (3, [(1, 2), (2, 3), (1, 3)]),
@@ -141,8 +161,9 @@ def _energy_cases():
         "pentagon": (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
     }
     for name, (n, edges) in graphs.items():
-        for weight in (1, Fraction(3, 2)):
+        for weight in (1, Fraction(3, 2), Fraction(1, 10)):
             yield f"{name}-w{weight}", lambda n=n, e=edges, w=weight: _compiled(n, e, w)
+        yield f"{name}-rescale0.3", lambda n=n, e=edges: _rescaled(n, e, 0.3)
     yield "square-fixture", lambda: DiagonalHamiltonian.from_ising(reference_square_model())
     for q in (0, 1, 2, 3, 9, 16, 20):
         yield f"random-q{q}", lambda q=q: DiagonalHamiltonian(
@@ -163,19 +184,57 @@ def _energy_cases():
         4, ((0b1001, 0.0), (0b10, -0.0)), -0.0
     )
     yield "no-terms", lambda: DiagonalHamiltonian(5, (), -0.0)
+    # below 6 qubits the register is built as 6 qubits and cut to 2^q
+    for q in range(9):
+        yield f"random-q{q}-t{8 * q + 2}", lambda q=q: DiagonalHamiltonian(
+            q, _random_terms(q, 8 * q + 2, 100 + q), 0.75 - 0.5 * q
+        )
+    # 136 terms at q = 16 take 8 high rows per GEMM, 32 GEMMs in all
+    for q in (12, 16):
+        yield f"full-ising-q{q}", lambda q=q: _full_ising(q, q)
 
 
 ENERGY_CASES = dict(_energy_cases())
+# the GEMM's sums start at +0.0, so where the per-term oracle ends on -0.0
+# (a -0.0 constant plus zeros) the vector reads +0.0
+SIGNED_ZERO_CASES = {"negative-zero-constant", "no-terms"}
 
 
-@pytest.mark.parametrize("build", ENERGY_CASES.values(), ids=ENERGY_CASES.keys())
-def test_energies_match_parity_oracle(build):
-    h = build()
+@pytest.mark.parametrize("name", ENERGY_CASES)
+def test_energies_match_parity_oracle(name):
+    h = ENERGY_CASES[name]()
     energies = h.energies()
-    assert energies.tobytes() == parity_energies(h).tobytes()
+    expected = parity_energies(h)
+    if name in SIGNED_ZERO_CASES:
+        expected = expected + 0.0
+        assert not np.signbit(energies).any()
+    assert energies.tobytes() == expected.tobytes()
     assert h.energies() is energies
     assert not energies.flags.writeable
     assert energies.flags.owndata
+
+
+# energies() runs GEMMs through OpenBLAS; their bytes must not depend on
+# its thread count
+_ENERGIES_BY_THREADS = """
+import hashlib
+from test_hamiltonian import ENERGY_CASES
+for name, build in ENERGY_CASES.items():
+    print(name, hashlib.sha256(build().energies().tobytes()).hexdigest())
+"""
+
+
+def test_energies_do_not_depend_on_the_blas_thread_count():
+    path = os.pathsep.join([str(Path(hamqaoa.__file__).parents[1]), str(Path(__file__).parent)])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", _ENERGIES_BY_THREADS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 9, 16])
