@@ -35,6 +35,9 @@ _GEMM_MACS = 1 << 18
 # The smallest register ``energies()`` builds: 3 low and 3 high bits keep
 # both GEMM sides 8 wide, where OpenBLAS adds each dot product in order.
 _GEMM_MIN_QUBITS = 6
+# Most summands (the constant and the terms) of one GEMM dot product: the
+# Haswell, Sandybridge and Nehalem kernels split a longer sum into blocks.
+_GEMM_SUMMANDS = 256
 
 
 @dataclass(frozen=True)
@@ -86,20 +89,26 @@ class DiagonalHamiltonian:
         to a multiple of 8 and at least 8 (the Haswell kernel sums an odd
         tail row, and the Nehalem kernel a tail of two, out of order).
         The GEMM's sums start at +0.0, so an exactly-zero energy is +0.0,
-        never -0.0.  Past 255 terms a BLAS kernel may split each dot
-        product into blocks of terms, which can round differently.
+        never -0.0.  The GEMM takes the constant and the first 255 terms
+        only (``_GEMM_SUMMANDS``), since some kernels split a longer dot
+        product into blocks; each later term is added in order after it,
+        as one outer product of its two sign rows per chunk of high rows.
         """
         if self._energies is None:
             q = max(self.num_qubits, _GEMM_MIN_QUBITS)
             masks = [0] + [m for m, _ in self.terms]
             coeffs = np.array([self.constant] + [c for _, c in self.terms], dtype=float)
             s_hi, s_lo = _half_sign_tables(masks, q)
-            a, b = s_hi.T, coeffs[:, None] * s_lo
+            k = _GEMM_SUMMANDS
+            a, b = s_hi[:k].T, coeffs[:, None] * s_lo
             out = np.empty(1 << q)
             block = out.reshape(len(a), b.shape[1])
-            rows = max(8, (_GEMM_MACS // b.size) & -8)
+            rows = max(8, (_GEMM_MACS // b[:k].size) & -8)
             for lo in range(0, len(a), rows):
-                np.matmul(a[lo : lo + rows], b, out=block[lo : lo + rows])
+                chunk = block[lo : lo + rows]
+                np.matmul(a[lo : lo + rows], b[:k], out=chunk)
+                for t in range(k, len(b)):
+                    chunk += np.multiply.outer(s_hi[t, lo : lo + rows], b[t])
             if q > self.num_qubits:
                 out = out[: 1 << self.num_qubits].copy()
             out.flags.writeable = False

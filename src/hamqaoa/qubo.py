@@ -9,23 +9,23 @@ variables x[v, j]:
                          plus the wrap-around terms through vertex 1
 
 All coefficients stay exact rationals until the simulator boundary.
-The Ising form follows from x -> (1 - Z)/2 with Z^2 = I.
+They are summed as integers: the penalties with integer coefficients,
+multiplied by the weight once per coefficient, and the Ising form, which
+follows from x -> (1 - Z)/2 with Z^2 = I, as integer numerators over one
+common denominator, with one Fraction per Ising coefficient at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
+from math import lcm
 from numbers import Integral
 
 from .errors import MalformedInput, NonPositiveWeight, UnmappedVariable
 from .graph import Graph, check_assignment, non_edges, qubit_index
 
 Var = tuple[int, int]  # (v, j) with v, j in 2..n
-
-_MINUS_ONE = Fraction(-1)
-_TWO = Fraction(2)
-
 
 def _exact(c) -> Fraction:
     """c as a Fraction; a Fraction is kept as it is, not copied."""
@@ -49,23 +49,6 @@ class QuboPolynomial:
         self.quadratic: dict[tuple[Var, Var], Fraction] = {
             k: _exact(c) for k, c in (quadratic or {}).items() if c != 0
         }
-
-    def __add__(self, other: "QuboPolynomial") -> "QuboPolynomial":
-        lin = dict(self.linear)
-        for k, c in other.linear.items():
-            lin[k] = lin[k] + c if k in lin else c
-        quad = dict(self.quadratic)
-        for k, c in other.quadratic.items():
-            quad[k] = quad[k] + c if k in quad else c
-        return QuboPolynomial(self.constant + other.constant, lin, quad)
-
-    def scale(self, factor) -> "QuboPolynomial":
-        f = Fraction(factor)
-        return QuboPolynomial(
-            self.constant * f,
-            {k: c * f for k, c in self.linear.items()},
-            {k: c * f for k, c in self.quadratic.items()},
-        )
 
     def value(self, assign) -> Fraction:
         """Evaluate at a mapping (v, j) -> {0, 1}."""
@@ -95,38 +78,39 @@ def _pair(a: Var, b: Var) -> tuple[Var, Var]:
     return (a, b) if a < b else (b, a)
 
 
-def _row_penalties(rows: list[list[Var]]) -> QuboPolynomial:
-    # sum over rows of (1 - sum x_i)^2 with x^2 = x:
-    # 1 - sum x_i + 2 sum_{i<j} x_i x_j.  No two rows share a variable,
-    # so the rows' terms never meet and are collected in place.
-    lin: dict[Var, Fraction] = {}
-    quad: dict[tuple[Var, Var], Fraction] = {}
+def _add_rows(rows: list[list[Var]], lin: dict, quad: dict) -> int:
+    """Add sum over rows of (1 - sum x_i)^2 = 1 - sum x_i + 2 sum_{i<j} x_i x_j
+    (x^2 = x) to integer coefficient dicts; returns its constant."""
     for terms in rows:
-        lin.update(dict.fromkeys(terms, _MINUS_ONE))
-        quad.update(dict.fromkeys(starmap(_pair, combinations(terms, 2)), _TWO))
-    return QuboPolynomial(len(rows), lin, quad)
+        for t in terms:
+            lin[t] = lin.get(t, 0) - 1
+        for key in starmap(_pair, combinations(terms, 2)):
+            quad[key] = quad.get(key, 0) + 2
+    return len(rows)
+
+
+def _vertex_rows(n: int) -> list[list[Var]]:
+    return [[(v, j) for j in range(2, n + 1)] for v in range(2, n + 1)]
+
+
+def _position_rows(n: int) -> list[list[Var]]:
+    return [[(v, j) for v in range(2, n + 1)] for j in range(2, n + 1)]
 
 
 def vertex_uniqueness(n: int) -> QuboPolynomial:
     """Each free vertex occupies exactly one position."""
-    return _row_penalties([[(v, j) for j in range(2, n + 1)] for v in range(2, n + 1)])
+    lin, quad = {}, {}
+    return QuboPolynomial(_add_rows(_vertex_rows(n), lin, quad), lin, quad)
 
 
 def position_uniqueness(n: int) -> QuboPolynomial:
     """Each free position is occupied by exactly one vertex."""
-    return _row_penalties([[(v, j) for v in range(2, n + 1)] for j in range(2, n + 1)])
+    lin, quad = {}, {}
+    return QuboPolynomial(_add_rows(_position_rows(n), lin, quad), lin, quad)
 
 
-def edge_validity(g: Graph) -> QuboPolynomial:
-    """Penalty for consecutive tour slots holding a non-adjacent pair.
-
-    Non-edge pairs are taken in both orders; pairs involving vertex 1
-    reduce to linear boundary terms because x[1,1] = 1 and the rest of
-    row/column 1 is identically 0.
-    """
+def _add_edges(g: Graph, lin: dict, quad: dict) -> None:
     n = g.n
-    lin: dict[Var, int] = {}
-    quad: dict[tuple[Var, Var], int] = {}
     for u, v in sorted(non_edges(g)):
         if u == 1:
             for k in (2, n):
@@ -136,15 +120,36 @@ def edge_validity(g: Graph) -> QuboPolynomial:
             for j in range(2, n):
                 key = _pair((a, j), (b, j + 1))
                 quad[key] = quad.get(key, 0) + 1
+
+
+def edge_validity(g: Graph) -> QuboPolynomial:
+    """Penalty for consecutive tour slots holding a non-adjacent pair.
+
+    Non-edge pairs are taken in both orders; pairs involving vertex 1
+    reduce to linear boundary terms because x[1,1] = 1 and the rest of
+    row/column 1 is identically 0.
+    """
+    lin, quad = {}, {}
+    _add_edges(g, lin, quad)
     return QuboPolynomial(0, lin, quad)
 
 
 def assemble(g: Graph, weight=1) -> QuboPolynomial:
-    """Full penalty polynomial weight * (H1 + H2 + H3)."""
-    if Fraction(weight) <= 0:
+    """Full penalty polynomial weight * (H1 + H2 + H3), summed as integers
+    and multiplied by the weight once per coefficient."""
+    w = Fraction(weight)
+    if w <= 0:
         raise NonPositiveWeight(f"penalty weight must be > 0, got {weight}")
-    poly = vertex_uniqueness(g.n) + position_uniqueness(g.n) + edge_validity(g)
-    return poly.scale(weight)
+    lin, quad = {}, {}
+    constant = _add_rows(_vertex_rows(g.n), lin, quad)
+    constant += _add_rows(_position_rows(g.n), lin, quad)
+    _add_edges(g, lin, quad)
+    p, r = w.numerator, w.denominator
+    return QuboPolynomial(
+        Fraction(constant * p, r),
+        {k: Fraction(c * p, r) for k, c in lin.items()},
+        {k: Fraction(c * p, r) for k, c in quad.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -188,38 +193,37 @@ def to_ising(q: QuboPolynomial, n: int) -> IsingModel:
     """Apply x -> (1 - Z)/2 and map variable (v, j) to its qubit.
 
     Exact affine equivalence: the Ising energy of any assignment equals
-    the QUBO value of that assignment.
+    the QUBO value of that assignment.  Every coefficient is taken as an
+    integer numerator over the lcm d of the denominators, the expansion is
+    summed in units of 1/(4d), and each Ising coefficient becomes one
+    Fraction at the end.
     """
-    num_qubits = (n - 1) ** 2
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-
-    def qb(var: Var) -> int:
-        v, j = var
-        if not (2 <= v <= n and 2 <= j <= n):
-            raise UnmappedVariable(f"x[{v},{j}] outside the free block for n={n}")
-        return qubit_index(v, j, n)
-
-    constant = q.constant
-    linear: dict[int, Fraction] = {}
-    quadratic: dict[tuple[int, int], Fraction] = {}
-
-    def sub(k: int, c: Fraction) -> None:
-        linear[k] = linear[k] - c if k in linear else -c
-
+    qubit = {(v, j): qubit_index(v, j, n) for v in range(2, n + 1) for j in range(2, n + 1)}
+    for var in chain(q.linear, *q.quadratic):
+        if var not in qubit:
+            raise UnmappedVariable(f"x[{var[0]},{var[1]}] outside the free block for n={n}")
+    d = lcm(*{c.denominator for c in (q.constant, *q.linear.values(), *q.quadratic.values())})
+    constant = 4 * q.constant.numerator * (d // q.constant.denominator)
+    linear: dict[int, int] = {}
+    quadratic: dict[tuple[int, int], int] = {}
     for var, c in q.linear.items():
-        ch = c * half
-        constant += ch
-        sub(qb(var), ch)
+        k, c2 = qubit[var], 2 * c.numerator * (d // c.denominator)
+        constant += c2
+        linear[k] = linear.get(k, 0) - c2
     for (a, b), c in q.quadratic.items():
-        ja, jb = qb(a), qb(b)
-        cq = c * quarter
-        constant += cq
-        sub(ja, cq)
-        sub(jb, cq)
-        key = (min(ja, jb), max(ja, jb))
-        quadratic[key] = quadratic[key] + cq if key in quadratic else cq
-    return IsingModel(num_qubits, constant, linear, quadratic)
+        ja, jb, c1 = qubit[a], qubit[b], c.numerator * (d // c.denominator)
+        constant += c1
+        linear[ja] = linear.get(ja, 0) - c1
+        linear[jb] = linear.get(jb, 0) - c1
+        key = (ja, jb) if ja < jb else (jb, ja)
+        quadratic[key] = quadratic.get(key, 0) + c1
+    d *= 4
+    return IsingModel(
+        (n - 1) ** 2,
+        Fraction(constant, d),
+        {k: Fraction(c, d) for k, c in linear.items() if c},
+        {k: Fraction(c, d) for k, c in quadratic.items() if c},
+    )
 
 
 def strip_constant(m: IsingModel, rescale=1) -> IsingModel:

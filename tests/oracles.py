@@ -457,7 +457,7 @@ def rewrapping_compile(g, weight=1):
     """(constant, linear, quadratic) of the Ising model of graph g, built by
     summing one penalty row at a time and re-wrapping every coefficient, as
     a reference for ``to_ising(assemble(g, weight), g.n)``."""
-    from hamqaoa.graph import non_edges, qubit_index
+    from hamqaoa.graph import non_edges
 
     n = g.n
     poly = _RewrappingQubo()
@@ -476,6 +476,14 @@ def rewrapping_compile(g, weight=1):
                 key = ((a, j), (b, j + 1)) if (a, j) < (b, j + 1) else ((b, j + 1), (a, j))
                 quad[key] = quad.get(key, Fraction(0)) + 1
     poly = (poly + _RewrappingQubo(0, lin, quad)).scale(weight)
+    return fraction_to_ising(poly, n)
+
+
+def fraction_to_ising(poly, n):
+    """(constant, linear, quadratic) of the Ising model of a QUBO polynomial
+    on n vertices, x -> (1 - Z)/2 applied Fraction by Fraction, as a
+    reference for ``to_ising``."""
+    from hamqaoa.graph import qubit_index
 
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     constant = poly.constant

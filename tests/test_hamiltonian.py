@@ -192,6 +192,12 @@ def _energy_cases():
     # 136 terms at q = 16 take 8 high rows per GEMM, 32 GEMMs in all
     for q in (12, 16):
         yield f"full-ising-q{q}", lambda q=q: _full_ising(q, q)
+    # some BLAS kernels split a dot product from 257 summands: the terms past
+    # the 255th are added after the GEMM
+    for t in (256, 300):
+        yield f"random-q16-t{t}", lambda t=t: DiagonalHamiltonian(
+            16, _random_terms(16, t, t), -0.5
+        )
 
 
 ENERGY_CASES = dict(_energy_cases())

@@ -22,7 +22,7 @@ from hamqaoa import (
 )
 from hamqaoa.errors import LengthMismatch, MalformedInput, NonPositiveWeight, UnmappedVariable
 from hamqaoa.hamiltonian import index_to_bits
-from oracles import rewrapping_compile
+from oracles import fraction_to_ising, rewrapping_compile
 
 
 def assign_from_bits(bits, n):
@@ -258,6 +258,12 @@ def _graphs_for_compiler_oracle():
     rng = random.Random(5)
     for _ in range(64):
         yield make_graph(5, [e for e in pairs if rng.random() < 0.5])
+    for n in (6, 7, 8):
+        yield make_graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    rng = random.Random(6)
+    for _ in range(4):
+        yield make_graph(6, [e for e in pairs if rng.random() < 0.5])
 
 
 def test_compile_matches_rewrapping_oracle():
@@ -270,3 +276,46 @@ def test_compile_matches_rewrapping_oracle():
             assert m.quadratic == quadratic and list(m.quadratic) == list(quadratic)
             values = (m.constant, *m.linear.values(), *m.quadratic.values())
             assert all(type(v) is Fraction for v in values)
+
+
+# hand-made polynomials whose coefficients have mixed denominators, so the
+# compiler's common denominator is more than the weight's
+LCM_POLYNOMIALS = {
+    "thirds-and-sixths": (3, QuboPolynomial(
+        Fraction(1, 3),
+        {(2, 2): Fraction(1, 6), (3, 3): Fraction(-2, 3)},
+        {((2, 2), (3, 3)): Fraction(1, 3), ((2, 3), (3, 2)): Fraction(-1, 6)},
+    )),
+    "binary-float": (3, QuboPolynomial(
+        Fraction(0.1),
+        {(2, 3): Fraction(1, 3), (3, 2): Fraction(0.1)},
+        {((2, 2), (2, 3)): Fraction(-0.1), ((2, 3), (3, 3)): Fraction(1, 6)},
+    )),
+    # qubit 1's linear coefficient is 1/12 - 1/12
+    "linear-cancels": (3, QuboPolynomial(
+        1, {(2, 2): Fraction(-1, 6), (3, 3): Fraction(0.1)}, {((2, 2), (2, 3)): Fraction(1, 3)}
+    )),
+    # one pair given in both orders, with opposite coefficients
+    "quadratic-cancels": (4, QuboPolynomial(
+        0,
+        {},
+        {((2, 2), (3, 3)): Fraction(1, 6), ((3, 3), (2, 2)): Fraction(-1, 6),
+         ((2, 3), (4, 4)): Fraction(0.1)},
+    )),
+    "constant-cancels": (3, QuboPolynomial(Fraction(-1, 6), {(2, 2): Fraction(1, 3)}, {})),
+}
+
+
+@pytest.mark.parametrize("name", LCM_POLYNOMIALS)
+def test_to_ising_matches_fraction_oracle_on_mixed_denominators(name):
+    n, poly = LCM_POLYNOMIALS[name]
+    m = to_ising(poly, n)
+    constant, linear, quadratic = fraction_to_ising(poly, n)
+    assert m.constant == constant
+    assert m.linear == linear and list(m.linear) == list(linear)
+    assert m.quadratic == quadratic and list(m.quadratic) == list(quadratic)
+    values = (m.constant, *m.linear.values(), *m.quadratic.values())
+    assert all(type(v) is Fraction for v in values)
+    for i in range(2 ** m.num_qubits):
+        bits = index_to_bits(i, m.num_qubits)
+        assert m.energy(bits) == poly.value(assign_from_bits(bits, n))
