@@ -11,23 +11,27 @@ gates) or p2 (2-qubit gates), followed by an optional classical readout
 flip per bit.  Every noise model, zero noise too, takes one path: all
 errors are drawn first; shots without errors draw from the error-free
 state as ``sample`` does; the others are replayed in batches of at most
-``_BATCH_AMPLITUDES`` amplitudes, one state per column.
+``_BATCH_AMPLITUDES`` amplitudes.
+
+Every batch of states, replayed or evolved by ``qaoa_state``, is one
+C-ordered (B, 2^q) array, one state per row; the single-gate kernels
+split only its last axis.
 
 ``simulate``, the prefix a batch shares and every batch run through one
 routine, ``_evolve``, over the segments one scan of the gates finds
 (``_segments``).  A maximal run of lone RZs and exact CNOT(j, k), RZ(k),
 CNOT(j, k) runs (the ZZ terms of the ansatz) is one diagonal segment:
 one phase exp(-i a(x)), its angle a matmul of half-register sign tables.
-An RX or RY with one angle on every qubit is one mixer layer: a few
-Kronecker blocks, one matmul each.  Any other gate goes alone.
+An RX or RY with one angle on every qubit is one mixer layer (``_mix``).
+Any other gate goes alone.
 
-A batch carries each column's errors as one pending Pauli, x and z bit
+A batch carries each row's errors as one pending Pauli, x and z bit
 masks without its global phase.  CNOT is a Clifford gate, so an error
 inside a term moves to the term's edges, conjugated through CNOT; one
 after a mixer gate moves to the layer's end.  A diagonal segment takes a
 pending X as sign flips of the steps it overlaps an odd number of times;
 Z commutes with it.  The pending Paulis are applied, one gather for all
-columns, before a mixer layer, before a single gate they touch and before
+rows, before a mixer layer, before a single gate they touch and before
 the draw.  So a replayed state equals its gate-by-gate replay to within
 rounding (1e-12) and a global phase, not byte for byte; counts can differ
 only where a uniform falls within rounding of a cumulative boundary.
@@ -39,11 +43,14 @@ routine, up to ``lockstep_rows(q)`` states at a time as the rows of one
 array, so that one numpy operation per step serves them all; each state
 keeps the bytes it would have evolved alone.  Every cost layer takes its
 phase once per distinct energy level and gathers it.  Up to 9 qubits,
-where rows share batches, each mixer layer is a few Kronecker blocks of
-at most 4 qubits, each one real GEMM on the float view of the states:
-the block's qubits are the lowest axis, and one transpose copy then
-rotates the next block's qubits into that place.  A lone column (every
-state from q = 10) takes one 2x2 rotation per qubit.
+where rows share batches, each mixer layer is ``_mix`` with one block
+table per row; a lone row (every state from q = 10) takes one 2x2
+rotation per qubit.
+
+``_mix`` is the one Kronecker-block kernel: a mixer layer is a few blocks
+of at most 4 qubits, each one real GEMM on the float view of the rows,
+where the block's qubits are the lowest axis, and one transpose copy then
+rotates the next block's qubits into that place.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -193,10 +200,10 @@ def _apply_1q(states: np.ndarray, m, k: int, exchange: bool) -> None:
     bit k-1), in place: by the exchange update if ``exchange`` (an RX,
     where m00 == m11 and m01 == m10), else by the general one.
 
-    ``states`` is one state of shape (2^q,) or one state per column of
-    shape (2^q, B), in C or F order.  Only axis 0 is split, into half
-    pairs of 2^(k-1) rows, so the view never copies.  Each entry of ``m``
-    is a Python number.
+    ``states`` is one state of shape (2^q,) or one state per row of shape
+    (B, 2^q).  Only the last axis is split, into half pairs of 2^(k-1)
+    entries, so the view never copies.  Each entry of ``m`` is a Python
+    number.
 
     Products keep the scalar on the left, as numpy's fused complex
     multiply rounds by operand order, and every amplitude gets
@@ -205,13 +212,13 @@ def _apply_1q(states: np.ndarray, m, k: int, exchange: bool) -> None:
     swapped pair; the general one updates the two halves in turn.
     """
     m00, m01, m10, m11 = m
-    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
+    psi = states.reshape(*states.shape[:-1], -1, 2, 1 << (k - 1))
     if exchange:
-        swapped = m01 * psi[:, ::-1]
+        swapped = m01 * psi[..., ::-1, :]
         np.multiply(m00, psi, psi)
         psi += swapped
         return
-    a0, a1 = psi[:, 0], psi[:, 1]
+    a0, a1 = psi[..., 0, :], psi[..., 1, :]
     tmp = m10 * a0
     np.multiply(m00, a0, a0)
     a0 += m01 * a1
@@ -223,11 +230,11 @@ def _apply_cnot(states: np.ndarray, control: int, target: int) -> None:
     """Swap the target pair where control = 1, in place; ``states`` as
     for ``_apply_1q``."""
     hi, lo = max(control, target) - 1, min(control, target) - 1
-    psi = states.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo, *states.shape[1:])
+    psi = states.reshape(*states.shape[:-1], -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     if control > target:
-        t0, t1 = psi[:, 1, :, 0], psi[:, 1, :, 1]
+        t0, t1 = psi[..., 1, :, 0, :], psi[..., 1, :, 1, :]
     else:
-        t0, t1 = psi[:, 0, :, 1], psi[:, 1, :, 1]
+        t0, t1 = psi[..., 0, :, 1, :], psi[..., 1, :, 1, :]
     tmp = t0.copy()
     t0[...] = t1
     t1[...] = tmp
@@ -249,9 +256,10 @@ class _Segment(NamedTuple):
     exact term run, in ``steps``, with the qubit mask of the step's Z
     product in ``masks``, half its RZ angle in ``angles`` and the
     half-register sign tables of the masks in ``signs``
-    (``_multiply_phases``).  A mixer layer holds one Kronecker block per
-    ``_block_sizes`` entry in ``blocks``, lowest qubits first.  A single
-    gate holds neither.
+    (``_multiply_phases``).  A mixer layer holds the real form of one
+    Kronecker block per ``_block_sizes`` entry in ``blocks``, lowest
+    qubits first, each one (1, 2^(b+1), 2^(b+1)) table for every row
+    (``_mix``).  A single gate holds neither.
     """
 
     lo: int
@@ -332,18 +340,20 @@ def _segments(gates, q: int) -> list:
     sizes = _block_sizes(q)
     for mixer, at in layers.items():
         betas = np.array([[float(gates[segments[s].lo].angle) / 2 for s in at]])
-        tables = _block_tables(mixer, betas, sizes)
+        tables = _real_block_tables(mixer, betas, sizes)
         for layer, s in enumerate(at):
-            blocks = tuple(tables[b][layer, 0] for b in sizes)
-            segments[s] = segments[s]._replace(blocks=blocks)
+            segments[s] = segments[s]._replace(blocks=tuple(tables[b][layer] for b in sizes))
     return segments
 
 
 def _check_circuit(c: ParamCircuit) -> None:
-    check_qubits(c.num_qubits)
+    q = c.num_qubits
+    check_qubits(q)
     if not c.is_bound:
         raise UnboundParameter("circuit has unbound symbolic parameters")
     for i, g in enumerate(c.gates):
+        if not all(1 <= k <= q for k in g.targets):
+            raise ValueError(f"gate {i} ({g.kind}) targets {g.targets} outside qubits 1..{q}")
         if g.angle is not None and not math.isfinite(g.angle):
             raise ValueError(f"gate {i} ({g.kind}) has a non-finite angle {g.angle!r}")
 
@@ -355,54 +365,56 @@ def check_shots(shots: int) -> None:
 
 
 def _ground(q: int) -> np.ndarray:
-    """|0...0> on q qubits as one column, shape (2^q, 1)."""
-    state = np.zeros((1 << q, 1), dtype=complex)
-    state[0] = 1.0
+    """|0...0> on q qubits as one row, shape (1, 2^q)."""
+    state = np.zeros((1, 1 << q), dtype=complex)
+    state[0, 0] = 1.0
     return state
 
 
 def _evolve(states: np.ndarray, segments, gates, events=None) -> np.ndarray:
-    """The (2^q, B) states, one per column, through the segments of
-    ``_segments``, in place.  ``events`` maps a segment's first gate to the
-    errors that land in it (``_carried``).  Each column carries them as
-    one pending Pauli X^x Z^z, applied (``_flush``) before a mixer layer,
-    before a single gate on a qubit it touches, and at the end."""
-    px = np.zeros(states.shape[1], dtype=np.int64)
+    """The (B, 2^q) states, one per row, through the segments of
+    ``_segments``.  ``events`` maps a segment's first gate to the
+    errors that land in it (``_carried``).  Each row carries them as one
+    pending Pauli X^x Z^z, applied (``_flush``) before a mixer layer,
+    before a single gate on a qubit it touches, and at the end.  One
+    scratch array of the batch's shape serves every mixer layer and flush."""
+    px = np.zeros(len(states), dtype=np.int64)
     pz = np.zeros_like(px)
+    buf = np.empty_like(states)
     for seg in segments:
         errors = events.get(seg.lo, ()) if events else ()
         if seg.steps:
             _diagonal(states, seg, px, pz, errors)
             continue
         if seg.blocks:
-            _flush(states, px, pz)
-            _mix(states, seg.blocks)
+            _flush(states, px, pz, buf)
+            states = _mix(states, seg.blocks, buf)
         else:
             g = gates[seg.lo]
-            _flush(states, px, pz, sum(1 << (k - 1) for k in g.targets))
+            _flush(states, px, pz, buf, sum(1 << (k - 1) for k in g.targets))
             _apply_gate(states, g)
         for r, _, x, z in errors:
             px[r] ^= x
             pz[r] ^= z
-    _flush(states, px, pz)
+    _flush(states, px, pz, buf)
     return states
 
 
-# Most entries of one chunk of phases, of a mixer block's output or of a
-# pending-Pauli gather: the temporaries of every pass stay this small.
+# Most entries of one chunk of phases or of a pending-Pauli gather: the
+# temporaries of every pass stay this small.
 _CHUNK = 1 << 13
 
 
 def _diagonal(states, seg: _Segment, px, pz, errors) -> None:
-    """A diagonal segment on every column, in place: exp(-i a(x)) with
+    """A diagonal segment on every row, in place: exp(-i a(x)) with
     a(x) = sum_t sigma_t angle_t (-1)^parity(x & mask_t).
 
-    sigma_t is -1 where the column's pending X overlaps mask_t an odd
-    number of times at step t: X^m D X^m is D at x ^ m.  Every column
-    takes the phase with no flip, one vector for all; a column with flips
-    then takes its own correction, exp(2i sum angle_t (-1)^parity(x &
-    mask_t)) over its flipped steps.  An error at step t joins the pending
-    Pauli before step t; its Z part commutes with every step.
+    sigma_t is -1 where the row's pending X overlaps mask_t an odd number
+    of times at step t: X^m D X^m is D at x ^ m.  Every row takes the
+    phase with no flip, one vector for all; a row with flips then takes
+    its own correction, exp(2i sum angle_t (-1)^parity(x & mask_t)) over
+    its flipped steps.  An error at step t joins the pending Pauli before
+    step t; its Z part commutes with every step.
     """
     _multiply_phases(states, seg, seg.angles[None], slice(None))
     for r, _, _, z in errors:
@@ -415,7 +427,7 @@ def _diagonal(states, seg: _Segment, px, pz, errors) -> None:
     carried = np.flatnonzero(carrying)
     x_at = np.zeros((len(carried), len(seg.steps) + 1), dtype=np.int64)
     x_at[:, 0] = px[carried]
-    rank = np.cumsum(carrying) - 1  # the row of x_at of each carried column
+    rank = np.cumsum(carrying) - 1  # the row of x_at of each carried row
     np.bitwise_xor.at(x_at, (rank[flips[:, 0]], flips[:, 1]), flips[:, 2])
     x_at = np.bitwise_xor.accumulate(x_at, axis=1)
     px[carried] = x_at[:, -1]
@@ -425,96 +437,110 @@ def _diagonal(states, seg: _Segment, px, pz, errors) -> None:
         _multiply_phases(states, seg, -2.0 * seg.angles * odd[flipped], carried[flipped])
 
 
-def _multiply_phases(states, seg: _Segment, weights, cols) -> None:
-    """Multiply the columns ``cols`` of ``states`` by exp(-i a), in place,
+def _multiply_phases(states, seg: _Segment, weights, rows) -> None:
+    """Multiply the rows ``rows`` of ``states`` by exp(-i a), in place,
     one phase per row of the (R, T) step ``weights`` (one row for all
-    columns), where a(x) = sum_t weights_t (-1)^parity(x & mask_t).
+    rows), where a(x) = sum_t weights_t (-1)^parity(x & mask_t).
 
     a is one stacked matmul of the half-register sign tables
     (``_half_sign_tables``): the high table times the low table scaled by
     the weights gives a over the indices (xh, xl).  No (2^q, T) table and
-    no full phase vector is built: the high rows go in chunks of at most
-    ``_CHUNK`` phases and, down to one row, ``_GEMM_MACS`` per GEMM.  a
-    is reduced to [-pi, pi] first, where cos and sin are fastest.
+    no full phase vector is built: the high indices go in chunks of at
+    most ``_CHUNK`` phases and, down to one index, ``_GEMM_MACS`` per
+    GEMM.  a is reduced to [-pi, pi] first, where cos and sin are fastest.
     """
     s_hi, s_lo = seg.signs
     width = s_lo.shape[1]
-    rows = max(1, min(_GEMM_MACS // (len(s_lo) * width), _CHUNK // (len(weights) * width)))
+    step = max(1, min(_GEMM_MACS // (len(s_lo) * width), _CHUNK // (len(weights) * width)))
     scaled = weights[:, :, None] * s_lo
-    for lo in range(0, len(s_hi), rows):
-        a = s_hi[lo : lo + rows] @ scaled
+    for lo in range(0, len(s_hi), step):
+        a = s_hi[lo : lo + step] @ scaled
         a -= np.rint(a * (0.5 / math.pi)) * (2 * math.pi)
         phase = np.empty(a.shape, dtype=complex)
         np.cos(a, out=phase.real)
         np.sin(a, out=phase.imag)
         np.negative(phase.imag, out=phase.imag)
-        states[lo * width : (lo + rows) * width, cols] *= phase.reshape(len(a), -1).T
+        states[rows, lo * width : (lo + step) * width] *= phase.reshape(len(a), -1)
 
 
-def _mix(states, blocks) -> None:
-    """A mixer layer on every column, in place: one matmul per Kronecker
-    block, lowest qubits first, a chunk of at most ``_CHUNK`` entries at a
-    time through a temporary.
+def _mix(states, blocks, buf) -> np.ndarray:
+    """A mixer layer on the (B, 2^q) rows, one Kronecker block at a time,
+    lowest qubits first; returns the rows, in ``states`` or a fresh array.
+    Each block is its real form R (``_real_block_tables``), of shape (1,
+    2^(b+1), 2^(b+1)) where every row shares one R, or (B, 2^(b+1),
+    2^(b+1)) with one R per row.
 
-    A block U on b qubits with ``low`` entries (columns included) below it
-    is ``U @ x`` on x of shape (high, 2^b, low).  With fewer than 2^b
-    entries below it, as for the lowest block of a few columns, each
-    column is instead ``x @ U.T`` on its rows x of shape (high, 2^b), one
-    GEMM per chunk rather than one per high index.  With 2^b <= 16, no
-    GEMM does more than ``_GEMM_MACS`` multiply-adds.
+    The block's qubits are the lowest axis, so the float view of the rows
+    as (high, 2^(b+1)) times R is the float view of the block applied:
+    one GEMM over all rows where they share R, else one per row.  One
+    transpose copy then turns the product, as complex (B, high, 2^b), into
+    the rows as (B, 2^b, high), so that the next block's qubits are lowest;
+    after the last block the qubits are in order again.
+
+    A batch of at most ``_GEMM_MACS`` / 64 amplitudes (64 KiB), such as
+    every lockstep batch, keeps each product within ``_GEMM_MACS``
+    multiply-adds: each is one allocating matmul, and a lone block (q <=
+    4) needs no transpose; a matmul into an existing array costs more per
+    call.  A larger batch, such as a replayed one, takes its products into
+    the scratch array ``buf`` of its shape, ``_GEMM_MACS`` at a time so
+    that OpenBLAS runs each on one thread, and copies them back into
+    ``states``: a fresh array that large would be faulted in every time.
     """
-    low = states.shape[1]
-    for u in blocks:
-        d = len(u)
-        x = states.reshape(-1, d, low)
-        if low < d:
-            for column in range(low):
-                rows = x[:, :, column]
-                for lo in range(0, len(rows), _CHUNK // d):
-                    part = rows[lo : lo + _CHUNK // d]
-                    part[...] = np.ascontiguousarray(part) @ u.T
+    rows, small = len(states), states.size <= _GEMM_MACS >> 6
+    for r in blocks:
+        width = r.shape[-1]
+        x = states.view(float).reshape(len(r), -1, width)
+        if small:
+            y = x @ r
         else:
-            cols = min(low, _CHUNK // d)
-            rows = _CHUNK // (d * cols)
-            for lo in range(0, len(x), rows):
-                for left in range(0, low, cols):
-                    part = x[lo : lo + rows, :, left : left + cols]
-                    part[...] = u @ part
-        low *= d
+            y = buf.view(float).reshape(x.shape)
+            step = _GEMM_MACS // (width * width)
+            for lo in range(0, x.shape[1], step):
+                np.matmul(x[:, lo : lo + step], r, out=y[:, lo : lo + step])
+        y = y.view(complex)
+        if len(r) < rows:
+            y = y.reshape(rows, -1, width // 2)
+        if small:
+            states = y.transpose(0, 2, 1).copy() if len(blocks) > 1 else y
+        else:
+            states.reshape(rows, width // 2, -1)[...] = y.transpose(0, 2, 1)
+    return states.reshape(rows, -1)
 
 
-def _flush(states, px, pz, touch: int = -1) -> None:
-    """Apply each column's pending Pauli X^x Z^z, in place, if any pending
+def _flush(states, px, pz, buf, touch: int = -1) -> None:
+    """Apply each row's pending Pauli X^x Z^z, in place, if any pending
     Pauli acts on a qubit of the mask ``touch``, and clear them.
 
-    Column r becomes states[i ^ x_r, r] (-1)^popcount((i ^ x_r) & z_r) at
-    every index i: one gather for all pending columns, in chunks of at most
-    ``_CHUNK`` entries, and one write back.
+    Row r becomes states[r, i ^ x_r] (-1)^popcount((i ^ x_r) & z_r) at
+    every index i: one gather for all pending rows into the scratch array
+    ``buf``, in chunks of at most ``_CHUNK`` entries, and one write back.
     """
     pending = px | pz
     if not (pending & touch).any():
         return
-    cols = np.flatnonzero(pending)
-    (dim, width), x, z = states.shape, px[cols], pz[cols]
-    moved = np.empty((dim, len(cols)), dtype=complex)
-    rows = max(1, _CHUNK // len(cols))
-    for lo in range(0, dim, rows):
-        src = np.arange(lo, min(lo + rows, dim))[:, None] ^ x
-        part = moved[lo : lo + rows]
-        np.take(states.reshape(-1), src * width + cols, out=part)
+    rows = np.flatnonzero(pending)
+    dim, x, z = states.shape[1], px[rows, None], pz[rows, None]
+    moved = buf[: len(rows)]
+    step = max(1, _CHUNK // len(rows))
+    for lo in range(0, dim, step):
+        src = np.arange(lo, min(lo + step, dim)) ^ x
+        part = moved[:, lo : lo + step]
+        # every index is in range; a mode other than "raise" writes the
+        # strided chunk directly instead of through a buffer
+        np.take(states.reshape(-1), src + rows[:, None] * dim, out=part, mode="wrap")
         odd = np.bitwise_count(src & z)
         odd &= 1
         part *= 1.0 - 2.0 * odd
-    states[:, cols] = moved
-    px[cols] = 0
-    pz[cols] = 0
+    states[rows] = moved
+    px[rows] = 0
+    pz[rows] = 0
 
 
 def simulate(c: ParamCircuit) -> Statevector:
     """Exact amplitudes of the bound circuit applied to |0...0>."""
     _check_circuit(c)
     q = c.num_qubits
-    return Statevector(_evolve(_ground(q), _segments(c.gates, q), c.gates)[:, 0], q)
+    return Statevector(_evolve(_ground(q), _segments(c.gates, q), c.gates)[0], q)
 
 
 def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
@@ -529,6 +555,7 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
     one state per row, returned as the rows of (B, 2^q) amplitudes, each
     byte-identical to a call on its row alone.  All rows go through one
     routine, ``lockstep_rows(q)`` at a time as the rows of one array.
+    Non-finite angles are refused before any work.
     """
     mixer = check_mixer(mixer)
     q = h.num_qubits
@@ -538,11 +565,14 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
         raise ValueError(
             f"gammas {gammas.shape} and betas {betas.shape} must both be (p,) or (B, p)"
         )
+    if not all(map(math.isfinite, gammas.ravel().tolist() + betas.ravel().tolist())):
+        raise ValueError("gammas and betas must be finite")
     if gammas.ndim == 1:
-        state = _evolve_lockstep(h, gammas[None], betas[None], mixer)
-        return Statevector(state[0], q)
-    out = np.empty((len(gammas), 1 << q), dtype=complex)
+        return Statevector(_evolve_lockstep(h, gammas[None], betas[None], mixer)[0], q)
     per_batch = lockstep_rows(q)
+    if 0 < len(gammas) <= per_batch:
+        return Statevector(_evolve_lockstep(h, gammas, betas, mixer), q)
+    out = np.empty((len(gammas), 1 << q), dtype=complex)
     for lo in range(0, len(out), per_batch):
         rows = slice(lo, lo + per_batch)
         out[rows] = _evolve_lockstep(h, gammas[rows], betas[rows], mixer)
@@ -550,28 +580,27 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
 
 
 def _block_indices(b: int) -> dict:
-    """Per mixer, the flat (2^b, 2^b) index of each block entry [i, j] into
-    the entries of one layer and row (``_block_entries``), and the flat
-    (2^(b+1), 2^b) index of the complex pairs of the block's real form.
+    """Per mixer, the flat (2^(b+1), 2^b) index of the complex pairs of
+    the real form of a block into the entries of one layer and row
+    (``_block_entries``).
 
-    Entry [i, j] is u = entry 2k, and i u is entry 2k + 1: w = popcount(i ^
-    j) for RX, and w plus b + 1 where popcount(j & ~i) is odd for RY.  The
-    real form R acts on amplitudes as interleaved (re, im) pairs from the
-    right: row (j, 0) of R holds the pairs of u[i, j] over i, and row (j,
-    1) those of i u[i, j].  A flat index gathers faster than a 2-d one.
+    Block entry [i, j] is u = entry 2k, and i u is entry 2k + 1: w =
+    popcount(i ^ j) for RX, and w plus b + 1 where popcount(j & ~i) is odd
+    for RY.  The real form R acts on amplitudes as interleaved (re, im)
+    pairs from the right: row (j, 0) of R holds the pairs of u[i, j] over
+    i, and row (j, 1) those of i u[i, j].  A flat index gathers faster
+    than a 2-d one.
     """
     ones = np.array([bin(v).count("1") for v in range(1 << b)])
     i, j = np.arange(1 << b)[:, None], np.arange(1 << b)
     flips = ones[i ^ j]
     indices = {}
     for mixer, k in (("RX", flips), ("RY", flips + (b + 1) * (ones[j & ~i] % 2))):
-        real = 2 * k.T[:, None, :] + np.arange(2)[:, None]
-        indices[mixer] = (2 * k.ravel(), real.ravel())
+        indices[mixer] = (2 * k.T[:, None, :] + np.arange(2)[:, None]).ravel()
     return indices
 
 
-# Most qubits of one mixer block, and the complex and the real block
-# indices of each size
+# Most qubits of one mixer block, and the real block indices of each size
 _BLOCK_QUBITS = 4
 _BLOCK_INDICES = {b: _block_indices(b) for b in range(1, _BLOCK_QUBITS + 1)}
 # Each block entry's factor f and i f as (re, im, re, im), per sign (RY
@@ -594,7 +623,7 @@ def _block_sizes(q: int) -> tuple:
 
 def _block_entries(mixer: str, betas, sizes) -> dict:
     """For each block size b, the K distinct entries u (b + 1 for RX,
-    2 (b + 1) for RY) of every layer's and column's mixer block, the
+    2 (b + 1) for RY) of every layer's and row's mixer block, the
     Kronecker product of b copies of ``_rotation(mixer, 2 beta)``, each
     followed by i u, as complex arrays of shape (p, B, 2 K) that
     ``_BLOCK_INDICES`` gathers from.
@@ -605,7 +634,7 @@ def _block_entries(mixer: str, betas, sizes) -> dict:
     products, and every entry is one multiply by ``_ENTRY_FACTORS``.
     """
     top = max(sizes, default=0)
-    # per layer and column: c^k and s^k for k = 0..top, as running products
+    # per layer and row: c^k and s^k for k = 0..top, as running products
     powers = np.ones((*betas.T.shape, 2, top + 1))
     np.cos(betas.T[..., None], out=powers[..., 0, 1:])
     np.sin(betas.T[..., None], out=powers[..., 1, 1:])
@@ -619,21 +648,13 @@ def _block_entries(mixer: str, betas, sizes) -> dict:
     return entries
 
 
-def _block_tables(mixer: str, betas, sizes) -> dict:
-    """For each block size b, every layer's and column's mixer block
-    (``_block_entries``), of shape (p, B, 2^b, 2^b)."""
-    return {
-        b: e.take(_BLOCK_INDICES[b][mixer][0], axis=-1).reshape(*e.shape[:-1], 1 << b, 1 << b)
-        for b, e in _block_entries(mixer, betas, sizes).items()
-    }
-
-
 def _real_block_tables(mixer: str, betas, sizes) -> dict:
     """For each block size b, the real form R (``_block_indices``) of every
-    layer's and column's mixer block U, of shape (p, B, 2^(b+1), 2^(b+1)):
-    the float view of the amplitudes x times R is the float view of U x."""
+    layer's and row's mixer block U (``_block_entries``), of shape (p, B,
+    2^(b+1), 2^(b+1)): the float view of the amplitudes x times R is the
+    float view of U x."""
     return {
-        b: e.take(_BLOCK_INDICES[b][mixer][1], axis=-1)
+        b: e.take(_BLOCK_INDICES[b][mixer], axis=-1)
         .view(float)
         .reshape(*e.shape[:-1], 2 << b, 2 << b)
         for b, e in _block_entries(mixer, betas, sizes).items()
@@ -653,17 +674,14 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     evolved alone, while an in-place multiply would not.
 
     Where rows share batches (``lockstep_rows(q) > 1``, up to 9 qubits),
-    each mixer layer is a Kronecker block per ``_block_sizes(q)`` entry,
-    each one real GEMM on the lowest b qubits: the float view of the
-    states as (B, high, 2^(b+1)) times the block's real form
-    (``_real_block_tables``).  One transpose copy turns the product, as
-    complex (B, high, 2^b), into (B, 2^b, high), so that the next block's
-    qubits are lowest; after the last block the qubits are in order
-    again.  A single block (q <= 4) needs no transpose.  Each row's
-    products are those of the row alone, and no GEMM has more than 16,384
+    each mixer layer is ``_mix`` with each row's own real block forms
+    (``_real_block_tables``): one GEMM per row and block, so each row's
+    products are those of the row alone.  A lockstep batch (at most 24
+    KiB) is below ``_mix``'s scratch-array size, so it passes none.  No
+    GEMM has more than 16,384
     multiply-adds (m n k: 64 x 16 x 16 at q = 9, 16 x 32 x 32 at q = 8),
     far below the ``_GEMM_MACS`` up to which OpenBLAS runs a GEMM on one
-    thread.  A lone column (from 10 qubits) takes one 2x2 rotation per
+    thread.  A lone row (from 10 qubits) takes one 2x2 rotation per
     qubit.
     """
     q = h.num_qubits
@@ -681,13 +699,7 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     sizes = _block_sizes(q)
     tables = _real_block_tables(mixer, betas, sizes)
     for layer, phase in enumerate(np.exp(scales * levels)):
-        state = state * phase.take(inverse, axis=1)
-        for b in sizes:
-            x = state.view(float).reshape(rows, -1, 2 << b)
-            state = (x @ tables[b][layer]).view(complex)
-            if len(sizes) > 1:
-                state = state.transpose(0, 2, 1).copy()
-        state = state.reshape(rows, dim)
+        state = _mix(state * phase.take(inverse, axis=1), [tables[b][layer] for b in sizes], None)
     return state
 
 
@@ -812,40 +824,40 @@ def _trajectory_outcomes(
     # the error-free state goes last: its "first error" n follows every gate
     first_gate = np.append(ev_gate[first_event], n)
     order = np.argsort(first_gate, kind="stable")
-    col_shot, first_gate = np.append(diverged, -1)[order], first_gate[order]
+    row_shot, first_gate = np.append(diverged, -1)[order], first_gate[order]
     rank = np.empty(shots, dtype=np.int64)
-    rank[col_shot[:-1]] = np.arange(len(diverged))
-    ev_col = rank[ev_shot]
-    by_col = np.argsort(ev_col, kind="stable")
-    ev_col, ev_gate, ev_pauli = ev_col[by_col], ev_gate[by_col], ev_pauli[by_col]
+    rank[row_shot[:-1]] = np.arange(len(diverged))
+    ev_row = rank[ev_shot]
+    by_row = np.argsort(ev_row, kind="stable")
+    ev_row, ev_gate, ev_pauli = ev_row[by_row], ev_gate[by_row], ev_pauli[by_row]
 
     outcomes = np.empty(shots, dtype=np.int64)
     per_batch = max(1, _BATCH_AMPLITUDES >> q)
-    for lo in range(0, len(col_shot), per_batch):
-        hi = min(lo + per_batch, len(col_shot))
-        a, b = np.searchsorted(ev_col, [lo, hi])
+    for lo in range(0, len(row_shot), per_batch):
+        hi = min(lo + per_batch, len(row_shot))
+        a, b = np.searchsorted(ev_row, [lo, hi])
         batch = _replay(
-            c, segments, first_gate[lo:hi], ev_col[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
+            c, segments, first_gate[lo:hi], ev_row[a:b] - lo, ev_gate[a:b], ev_pauli[a:b]
         )
-        shot = col_shot[lo:hi]
+        shot = row_shot[lo:hi]
         if shot[-1] < 0:  # the error-free state draws for every clean shot
             clean = np.ones(shots, dtype=bool)
             clean[diverged] = False
-            outcomes[clean] = _draw_outcomes(np.abs(batch[:, -1]) ** 2, u_meas[clean])
-            batch, shot = batch[:, :-1], shot[:-1]
-        cum = np.cumsum(np.abs(batch) ** 2, axis=0)
-        cum[-1] = 1.0
+            outcomes[clean] = _draw_outcomes(np.abs(batch[-1]) ** 2, u_meas[clean])
+            batch, shot = batch[:-1], shot[:-1]
+        cum = np.cumsum(np.abs(batch) ** 2, axis=1)
+        cum[:, -1] = 1.0
         # the count of entries <= u is searchsorted(cum, u, side="right")
-        outcomes[shot] = (cum <= u_meas[shot]).sum(axis=0)
+        outcomes[shot] = (cum <= u_meas[shot, None]).sum(axis=1)
     return outcomes
 
 
-def _replay(c: ParamCircuit, segments, first_gate, ev_col, ev_gate, ev_pauli) -> np.ndarray:
-    """Final states of one batch, one per column: column r starts erring
-    at gate first_gate[r] (ascending; len(c.gates) for never), and gets
-    Pauli ev_pauli[e] after gate ev_gate[e] if ev_col[e] == r.
+def _replay(c: ParamCircuit, segments, first_gate, ev_row, ev_gate, ev_pauli) -> np.ndarray:
+    """Final states of one batch, one per row: row r starts erring at gate
+    first_gate[r] (ascending; len(c.gates) for never), and gets Pauli
+    ev_pauli[e] after gate ev_gate[e] if ev_row[e] == r.
 
-    The columns agree up to the segment that holds their earliest first
+    The rows agree up to the segment that holds their earliest first
     error, so the segments before it run once on a single state.
     """
     starts = [seg.lo for seg in segments]
@@ -853,13 +865,13 @@ def _replay(c: ParamCircuit, segments, first_gate, ev_col, ev_gate, ev_pauli) ->
     if first_gate[0] == len(c.gates):  # the error-free state alone
         start = len(segments)
     prefix = _evolve(_ground(c.num_qubits), segments[:start], c.gates)
-    batch = prefix if len(first_gate) == 1 else np.repeat(prefix, len(first_gate), axis=1)
-    events = _carried(c.gates, segments, starts, ev_col, ev_gate, ev_pauli)
+    batch = prefix if len(first_gate) == 1 else np.repeat(prefix, len(first_gate), axis=0)
+    events = _carried(c.gates, segments, starts, ev_row, ev_gate, ev_pauli)
     return _evolve(batch, segments[start:], c.gates, events)
 
 
-def _carried(gates, segments, starts, ev_col, ev_gate, ev_pauli) -> dict:
-    """Each error as (column, step, x mask, z mask), listed under the first
+def _carried(gates, segments, starts, ev_row, ev_gate, ev_pauli) -> dict:
+    """Each error as (row, step, x mask, z mask), listed under the first
     gate of its segment.
 
     In a diagonal segment, an error after a lone RZ or a term run's second
@@ -869,7 +881,7 @@ def _carried(gates, segments, starts, ev_col, ev_gate, ev_pauli) -> dict:
     ``_AFTER_RZ`` after it.  Elsewhere the step is unused.
     """
     events: dict[int, list] = {}
-    for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
+    for r, i, k in zip(ev_row.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
         seg = segments[bisect.bisect_right(starts, i) - 1]
         g, step = gates[i], 0
         if seg.steps:

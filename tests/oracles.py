@@ -89,8 +89,8 @@ def general_apply_1q(states, m, k, exchange):
     reference for that branch.  Same layouts, operand order and arguments
     as ``engine._apply_1q``; ``exchange`` is ignored here."""
     m00, m01, m10, m11 = m
-    psi = states.reshape(-1, 2, 1 << (k - 1), *states.shape[1:])
-    a0, a1 = psi[:, 0], psi[:, 1]
+    psi = states.reshape(*states.shape[:-1], -1, 2, 1 << (k - 1))
+    a0, a1 = psi[..., 0, :], psi[..., 1, :]
     if not np.any(m01) and not np.any(m10):
         np.multiply(m00, a0, a0)
         np.multiply(m11, a1, a1)

@@ -109,6 +109,59 @@ def test_non_finite_angles_are_refused_before_any_work(angle, triangle_model, mo
             simulate_noisy(c, BENCH_NOISE, 10, 0)
 
 
+@pytest.mark.parametrize(
+    "gates, index",
+    [
+        (
+            (Gate("H", (1,)), Gate("RZ", (5,), 0.3), Gate("CNOT", (3, 4)),
+             Gate("RZ", (4,), 0.7), Gate("CNOT", (3, 4))),
+            1,
+        ),
+        ((Gate("H", (1,)), Gate("RX", (3,), 0.3)), 1),
+        ((Gate("H", (0,)), Gate("H", (1,))), 0),
+        ((Gate("H", (1,)), Gate("CNOT", (1, 3))), 1),
+    ],
+    ids=["rz-and-term", "rx", "h-on-0", "cnot"],
+)
+def test_gate_targets_outside_the_register_are_refused_before_any_work(
+    gates, index, monkeypatch
+):
+    # a mask outside the register reads sign +1, so such a gate would act as
+    # a global phase; others would fail inside numpy
+    def must_not_run(*args):
+        raise AssertionError("work began before the check")
+
+    monkeypatch.setattr(engine, "_segments", must_not_run)
+    monkeypatch.setattr(engine, "_substream", must_not_run)
+    c = ParamCircuit(2, gates, 0)
+    refused = rf"gate {index} \({gates[index].kind}\) targets .* outside qubits 1\.\.2"
+    with pytest.raises(ValueError, match=refused):
+        simulate(c)
+    with pytest.raises(ValueError, match=refused):
+        simulate_noisy(c, BENCH_NOISE, 10, 0)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_qaoa_state_refuses_non_finite_angles_before_any_work(
+    angle, triangle_model, monkeypatch
+):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work began before the check")
+
+    monkeypatch.setattr(DiagonalHamiltonian, "shifted_levels", must_not_run)
+    monkeypatch.setattr(np, "exp", must_not_run)
+    rows = np.array([[0.3, 0.1], [0.5, 0.2], [0.7, 0.4]])
+    for family in (0, 1):  # gammas, then betas
+        single, batch = [rows[0].copy(), rows[0].copy()], [rows.copy(), rows.copy()]
+        single[family][1] = angle
+        batch[family][1, 0] = angle
+        for gammas, betas in (single, batch):
+            with pytest.raises(ValueError, match="gammas and betas must be finite"):
+                qaoa_state(h, gammas, betas)
+
+
 def test_simulate_qubit_cap():
     c = ParamCircuit(30, (Gate("H", (1,)),), 0)
     with pytest.raises(TooManyQubits):
@@ -155,7 +208,7 @@ def random_hamiltonian(rng, q):
 
 def assert_matches_the_oracle(state, h, gammas, betas, mixer):
     # mixer blocks (q <= 9) round differently from the per-qubit oracle;
-    # lone columns (q >= 10) keep its bytes
+    # lone rows (q >= 10) keep its bytes
     single = single_qaoa_state(h, gammas, betas, mixer).amplitudes
     if engine.lockstep_rows(h.num_qubits) > 1:
         assert np.max(np.abs(state - single), initial=0.0) <= 1e-12
@@ -281,13 +334,17 @@ def kronecker_block(mixer, beta, b):
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
 @pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
 def test_block_tables_are_kronecker_products_of_rotations(b, mixer):
+    # the complex block U read off its real form: Re U[i, j] = R[2j, 2i]
+    # and Im U[i, j] = R[2j, 2i + 1]
     betas = np.array([[0.0, math.pi / 2, 0.7, -2.1], [1.3, -math.pi / 2, 5.9, 3e-9]])
-    tables = engine._block_tables(mixer, betas, (b,))[b]
-    assert tables.shape == (4, 2, 1 << b, 1 << b) and tables.flags.c_contiguous
+    tables = engine._real_block_tables(mixer, betas, (b,))[b]
+    assert tables.shape == (4, 2, 2 << b, 2 << b) and tables.flags.c_contiguous
     for r, row in enumerate(betas):
         for layer, beta in enumerate(row.tolist()):
+            real = tables[layer, r]
+            block = (real[0::2, 0::2] + 1j * real[0::2, 1::2]).T
             expected = kronecker_block(mixer, beta, b)
-            assert np.max(np.abs(tables[layer, r] - expected)) <= 1e-15
+            assert np.max(np.abs(block - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
@@ -296,10 +353,10 @@ def test_real_block_tables_are_real_forms_of_the_kronecker_products(b, mixer):
     # R acts on amplitudes as interleaved (re, im) pairs from the right:
     # R[(j, 0), (i, 0)] = R[(j, 1), (i, 1)] = Re U[i, j], R[(j, 0), (i, 1)]
     # = Im U[i, j] and R[(j, 1), (i, 0)] = -Im U[i, j]
-    betas = np.array([[0.0, math.pi / 2, -math.pi / 2], [0.7, -2.1, 3e-9]])
+    betas = np.array([[0.0, math.pi / 2, 0.7, -2.1], [1.3, -math.pi / 2, 5.9, 3e-9]])
     tables = engine._real_block_tables(mixer, betas, (b,))[b]
     d = 1 << b
-    assert tables.shape == (3, 2, 2 * d, 2 * d) and tables.flags.c_contiguous
+    assert tables.shape == (4, 2, 2 * d, 2 * d) and tables.flags.c_contiguous
     rng = np.random.default_rng(b)
     for r, row in enumerate(betas):
         for layer, beta in enumerate(row.tolist()):
@@ -315,13 +372,15 @@ def test_real_block_tables_are_real_forms_of_the_kronecker_products(b, mixer):
             assert np.max(np.abs(mixed - x.view(complex) @ u.T)) <= 1e-14
 
 
-def blocks_by_running_products(mixer, betas, b):
-    # entry [i, j] of every block, one at a time: c^(b-w) s^w with the
+def real_forms_by_running_products(mixer, betas, b):
+    # entry [i, j] of every block U, one at a time: c^(b-w) s^w with the
     # powers multiplied up one factor at a time, times (-i)^w for RX and
-    # (-1)^popcount(j & ~i) for RY, w = popcount(i ^ j)
+    # (-1)^popcount(j & ~i) for RY, w = popcount(i ^ j); its real form
+    # holds the parts of U[i, j] and i U[i, j], each that product times
+    # -1, 0 or 1
     d = 1 << b
     cos, sin = np.cos(betas.T), np.sin(betas.T)
-    blocks = np.empty((*betas.T.shape, d, d), dtype=complex)
+    forms = np.empty((*betas.T.shape, 2 * d, 2 * d))
     for index in np.ndindex(betas.T.shape):
         c_powers, s_powers = [1.0], [1.0]
         for _ in range(b):
@@ -335,18 +394,19 @@ def blocks_by_running_products(mixer, betas, b):
                     re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[w % 4]
                 else:
                     re, im = (-1, 0) if bin(j & ~i).count("1") % 2 else (1, 0)
-                blocks[index][i, j] = complex(term * re, term * im)
-    return blocks
+                forms[index][2 * j, 2 * i : 2 * i + 2] = term * re, term * im
+                forms[index][2 * j + 1, 2 * i : 2 * i + 2] = term * -im, term * re
+    return forms
 
 
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
 @pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
 def test_block_tables_keep_the_bytes_of_running_products(b, mixer):
-    # the replay's complex blocks and the real forms share their entries;
-    # the complex blocks keep the bytes of these products, entry by entry
+    # every entry of every real form keeps the bytes of its product, signed
+    # zeros included
     betas = np.array([[0.0, math.pi / 2, 0.7, -2.1], [1.3, -math.pi / 2, 5.9, 3e-9]])
-    tables = engine._block_tables(mixer, betas, (b,))[b]
-    assert tables.tobytes() == blocks_by_running_products(mixer, betas, b).tobytes()
+    tables = engine._real_block_tables(mixer, betas, (b,))[b]
+    assert tables.tobytes() == real_forms_by_running_products(mixer, betas, b).tobytes()
 
 
 # mixer blocks run as GEMMs through OpenBLAS; their bytes must not depend
@@ -539,7 +599,7 @@ class _NoDraws:
 def test_clean_shots_draw_through_the_replay(
     case, nm, seed, shots, triangle_model, square_fixture_model, monkeypatch
 ):
-    # every shot is clean: the replay's error-free column draws them all,
+    # every shot is clean: the replay's error-free row draws them all,
     # as sample() would, and no gate-error flag or Pauli is drawn
     if case == "rx-row":
         c = ParamCircuit(3, tuple(Gate("RX", (k,), 0.3 * k) for k in (1, 2, 3)), 0)
@@ -681,59 +741,59 @@ def inject(states, g, k):
             general_apply_1q(states, PAULI[label], qubit, False)
 
 
-def gate_by_gate_replay(c, first_gate, ev_col, ev_gate, ev_pauli):
+def gate_by_gate_replay(c, first_gate, ev_row, ev_gate, ev_pauli):
     """``engine._replay`` one gate at a time, each error injected right
     after its own gate: the reference for replaying segments whole."""
     injections = {}
-    for r, i, k in zip(ev_col.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
+    for r, i, k in zip(ev_row.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
         injections.setdefault(i, {}).setdefault(k, []).append(r)
     start = int(first_gate[0])
     state = np.zeros(1 << c.num_qubits, dtype=complex)
     state[0] = 1.0
     for g in c.gates[: start + 1]:
         engine._apply_gate(state, g)
-    batch = np.repeat(state[:, None], len(first_gate), axis=1)
+    batch = np.repeat(state[None], len(first_gate), axis=0)
     for i in range(start, len(c.gates)):
         if i > start:
             engine._apply_gate(batch, c.gates[i])
-        for k, cols in injections.get(i, {}).items():
-            sub = batch[:, cols]
+        for k, rows in injections.get(i, {}).items():
+            sub = batch[rows]
             inject(sub, c.gates[i], k)
-            batch[:, cols] = sub
+            batch[rows] = sub
     return batch
 
 
 def assert_equal_up_to_phase(states, reference):
-    """Each column within 1e-12 of its reference column times a
-    unit-modulus phase: each replayed state drops its global phase."""
-    for a, b in zip(states.T, reference.T):
+    """Each row within 1e-12 of its reference row times a unit-modulus
+    phase: each replayed state drops its global phase."""
+    for a, b in zip(states, reference):
         overlap = np.vdot(b, a)
         assert abs(abs(overlap) - 1.0) <= 1e-12
         assert np.max(np.abs(a - overlap / abs(overlap) * b)) <= 1e-12
 
 
-def replay_batches(c, columns, per_batch):
-    """Each batch of per_batch columns, each a list of (gate, Pauli index)
+def replay_batches(c, trajectories, per_batch):
+    """Each batch of per_batch rows, each a list of (gate, Pauli index)
     errors, as the arguments of ``engine._replay`` after the segments.
-    The columns go in order of their first error, as ``simulate_noisy``
-    sorts them; a column without errors goes last."""
+    The rows go in order of their first error, as ``simulate_noisy``
+    sorts them; a row without errors goes last."""
     n = len(c.gates)
-    columns = sorted(columns, key=lambda col: col[0][0] if col else n)
-    for lo in range(0, len(columns), per_batch):
-        batch = columns[lo : lo + per_batch]
+    trajectories = sorted(trajectories, key=lambda col: col[0][0] if col else n)
+    for lo in range(0, len(trajectories), per_batch):
+        batch = trajectories[lo : lo + per_batch]
         first_gate = np.array([col[0][0] if col else n for col in batch])
         events = [(r, i, k) for r, col in enumerate(batch) for i, k in col]
-        ev_col, ev_gate, ev_pauli = (
+        ev_row, ev_gate, ev_pauli = (
             np.array(v, dtype=np.int64) for v in (zip(*events) if events else ((), (), ()))
         )
-        yield batch, (first_gate, ev_col, ev_gate, ev_pauli)
+        yield batch, (first_gate, ev_row, ev_gate, ev_pauli)
 
 
-def assert_term_runs_replay_as_gates(c, columns, per_batch):
-    """Replay the columns in batches of per_batch, by segments and gate
-    by gate: each column within 1e-12 of its reference up to a phase."""
+def assert_term_runs_replay_as_gates(c, trajectories, per_batch):
+    """Replay the rows in batches of per_batch, by segments and gate by
+    gate: each row within 1e-12 of its reference up to a phase."""
     segments = engine._segments(c.gates, c.num_qubits)
-    for _, args in replay_batches(c, columns, per_batch):
+    for _, args in replay_batches(c, trajectories, per_batch):
         fused = engine._replay(c, segments, *args)
         assert_equal_up_to_phase(fused, gate_by_gate_replay(c, *args))
 
@@ -748,12 +808,12 @@ def term_starts(c):
     ]
 
 
-def seeded_columns(c, nm, shots, seed):
+def seeded_trajectories(c, nm, shots, seed):
     ev_shot, ev_gate, ev_pauli = engine._pauli_events(c, nm, seed, shots)
-    columns = [[] for _ in range(shots)]
+    trajectories = [[] for _ in range(shots)]
     for t, i, k in zip(ev_shot.tolist(), ev_gate.tolist(), ev_pauli.tolist()):
-        columns[t].append((i, k))
-    return columns
+        trajectories[t].append((i, k))
+    return trajectories
 
 
 def assert_simulate_runs_as_gates(c):
@@ -780,9 +840,9 @@ def test_term_runs_replay_as_gate_by_gate_on_the_ansatz(
     assert len(term_starts(c)) == quadratic * int(p[1:])
     assert_simulate_runs_as_gates(c)
     shots = 60 if name == "square" else 300
-    columns = seeded_columns(c, nm, shots, 11)
-    assert_term_runs_replay_as_gates(c, columns, len(columns))
-    assert_term_runs_replay_as_gates(c, columns, 3)
+    trajectories = seeded_trajectories(c, nm, shots, 11)
+    assert_term_runs_replay_as_gates(c, trajectories, len(trajectories))
+    assert_term_runs_replay_as_gates(c, trajectories, 3)
 
 
 def test_term_runs_replay_as_gate_by_gate_around_a_batch_start(square_fixture_model):
@@ -795,17 +855,17 @@ def test_term_runs_replay_as_gate_by_gate_around_a_batch_start(square_fixture_mo
     ]
     for offset, paulis in ((0, 15), (1, 3), (2, 15)):
         # the batch starts inside the first run, at each of its gates
-        columns = [[(first + offset, k)] for k in range(paulis)]
-        columns += [[(first + offset, 0), *col] for col in inside]
-        columns.append([])
-        assert_term_runs_replay_as_gates(c, columns, len(columns))
+        trajectories = [[(first + offset, k)] for k in range(paulis)]
+        trajectories += [[(first + offset, 0), *col] for col in inside]
+        trajectories.append([])
+        assert_term_runs_replay_as_gates(c, trajectories, len(trajectories))
     # every error a run can take, in batches that start before it
-    columns = [[(later, k)] for k in range(15)]
-    columns += [[(later + 1, k)] for k in range(3)]
-    columns += [[(later + 2, k)] for k in range(15)]
-    columns += [[(first - 1, 0), *col] for col in inside]
-    assert_term_runs_replay_as_gates(c, columns, len(columns))
-    assert_term_runs_replay_as_gates(c, columns, 4)
+    trajectories = [[(later, k)] for k in range(15)]
+    trajectories += [[(later + 1, k)] for k in range(3)]
+    trajectories += [[(later + 2, k)] for k in range(15)]
+    trajectories += [[(first - 1, 0), *col] for col in inside]
+    assert_term_runs_replay_as_gates(c, trajectories, len(trajectories))
+    assert_term_runs_replay_as_gates(c, trajectories, 4)
 
 
 _NEAR_MISSES = {
@@ -831,16 +891,16 @@ def test_near_miss_runs_replay_as_gate_by_gate(case):
     assert_simulate_runs_as_gates(c)
     # every single error, then every error after a run's RZ or first CNOT
     # with later errors in the last run
-    columns = [
+    trajectories = [
         [(i, k)]
         for i, g in enumerate(gates)
         for k in range(15 if g.kind == "CNOT" else 3)
     ]
     last = max(runs)
-    columns += [[(i, 1), (last, 5), (last + 1, 2)] for i in range(last)]
-    columns.append([])
-    assert_term_runs_replay_as_gates(c, columns, len(columns))
-    assert_term_runs_replay_as_gates(c, columns, 5)
+    trajectories += [[(i, 1), (last, 5), (last + 1, 2)] for i in range(last)]
+    trajectories.append([])
+    assert_term_runs_replay_as_gates(c, trajectories, len(trajectories))
+    assert_term_runs_replay_as_gates(c, trajectories, 5)
 
 
 def record_single_gates(monkeypatch):
@@ -914,9 +974,9 @@ def test_term_runs_in_random_circuits_replay_as_gate_by_gate(seed):
             gates[at:at] = term(int(j), int(k), float(rng.uniform(0, 2 * math.pi)))
     c = ParamCircuit(c.num_qubits, tuple(gates), 0)
     assert_simulate_runs_as_gates(c)
-    columns = seeded_columns(c, HEAVY_NOISE, 200, seed)
-    assert_term_runs_replay_as_gates(c, columns, len(columns))
-    assert_term_runs_replay_as_gates(c, columns, 3)
+    trajectories = seeded_trajectories(c, HEAVY_NOISE, 200, seed)
+    assert_term_runs_replay_as_gates(c, trajectories, len(trajectories))
+    assert_term_runs_replay_as_gates(c, trajectories, 3)
 
 
 _DENSE_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -939,19 +999,19 @@ def dense_matrices(c):
     return gates, errors
 
 
-def dense_replay(c, columns):
-    """The final state of each column of errors, (gate, Pauli index)
-    pairs, as a product of dense matrices: each gate, then each of its
-    errors; one state per column."""
+def dense_replay(c, trajectories):
+    """The final state of each list of errors, (gate, Pauli index) pairs,
+    as a product of dense matrices: each gate, then each of its errors;
+    one state per row."""
     gates, errors = dense_matrices(c)
-    states = np.zeros((1 << c.num_qubits, len(columns)), dtype=complex)
-    for r, column in enumerate(columns):
+    states = np.zeros((len(trajectories), 1 << c.num_qubits), dtype=complex)
+    for r, trajectory in enumerate(trajectories):
         state = np.eye(1 << c.num_qubits)[:, 0]
         for i, mat in enumerate(gates):
             state = mat @ state
-            for k in (k for j, k in column if j == i):
+            for k in (k for j, k in trajectory if j == i):
                 state = errors[i][k] @ state
-        states[:, r] = state
+        states[r] = state
     return states
 
 
@@ -981,23 +1041,23 @@ def carrying_circuit(q, mixer):
 def test_carried_errors_replay_as_dense_products(q, mixer):
     # every single Pauli after every gate, and an error of the mixer layer
     # (carried into the next segment as sign flips) before one after each
-    # later gate; each replayed column is the dense product up to a phase
+    # later gate; each replayed trajectory is the dense product up to a phase
     c = carrying_circuit(q, mixer)
     segments = engine._segments(c.gates, q)
     kinds = ["steps" if s.steps else "blocks" if s.blocks else "gate" for s in segments]
     assert kinds == ["gate"] * q + ["steps", "blocks", "steps"]
     paulis = [15 if g.kind == "CNOT" else 3 for g in c.gates]
-    columns = [[(i, k)] for i, n in enumerate(paulis) for k in range(n)]
+    trajectories = [[(i, k)] for i, n in enumerate(paulis) for k in range(n)]
     mixer_gates = range(segments[q + 1].lo, segments[q + 1].lo + q)
-    columns += [
+    trajectories += [
         [(m, k), (i, (m + i) % paulis[i])]
         for m in mixer_gates
         for k in range(3)
         for i in range(m + 1, len(c.gates))
     ]
-    columns += [[(0, 0), (i, 1)] for i in range(q, len(c.gates))]  # X carried from H
-    for per_batch in (len(columns), 3):
-        for batch, args in replay_batches(c, columns, per_batch):
+    trajectories += [[(0, 0), (i, 1)] for i in range(q, len(c.gates))]  # X carried from H
+    for per_batch in (len(trajectories), 3):
+        for batch, args in replay_batches(c, trajectories, per_batch):
             assert_equal_up_to_phase(engine._replay(c, segments, *args), dense_replay(c, batch))
 
 
@@ -1019,7 +1079,7 @@ def test_a_16_qubit_replay_stays_small():
 
 # replayed states go through GEMMs (mixer blocks and phase angles); their
 # bytes, and so the counts, must not depend on OpenBLAS's thread count,
-# for batches of many columns (q = 9) and for a lone column (q = 16)
+# for batches of many rows (q = 9) and for a lone row (q = 16)
 _REPLAYS_BY_THREADS = """
 import hashlib, math
 import numpy as np
@@ -1128,11 +1188,11 @@ def test_exchange_symmetric_kernel_matches_general_kernel(q):
 
     def states():
         yield rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
-        yield rng.normal(size=(1 << q, 3)) + 1j * rng.normal(size=(1 << q, 3))
-        # F-ordered: the kernel takes either order, as it splits only
-        # axis 0 and so never copies
-        batch = rng.normal(size=(1 << q, 5)) + 1j * rng.normal(size=(1 << q, 5))
-        yield batch[:, [4, 0, 2]]
+        yield rng.normal(size=(3, 1 << q)) + 1j * rng.normal(size=(3, 1 << q))
+        # every other row of a batch, not contiguous: the kernel splits
+        # only the last axis and so never copies
+        batch = rng.normal(size=(5, 1 << q)) + 1j * rng.normal(size=(5, 1 << q))
+        yield batch[::2]
 
     for mat in mats:
         for k in range(1, q + 1):
