@@ -43,14 +43,17 @@ routine, up to ``lockstep_rows(q)`` states at a time as the rows of one
 array, so that one numpy operation per step serves them all; each state
 keeps the bytes it would have evolved alone.  Every cost layer takes its
 phase once per distinct energy level and gathers it.  Up to 9 qubits,
-where rows share batches, each mixer layer is ``_mix`` with one block
-table per row; a lone row (every state from q = 10) takes one 2x2
-rotation per qubit.
+where rows share batches, each mixer layer is a few Kronecker blocks of
+at most 4 qubits, each row's own, applied where they lie on the float
+view of the rows; from 5 qubits RX runs as RY in the frame diag(1, i)
+on every qubit, where its blocks are real.  A lone row (every state
+from q = 10) takes one 2x2 rotation per qubit.
 
-``_mix`` is the one Kronecker-block kernel: a mixer layer is a few blocks
-of at most 4 qubits, each one real GEMM on the float view of the rows,
-where the block's qubits are the lowest axis, and one transpose copy then
-rotates the next block's qubits into that place.
+``_mix`` is the Kronecker-block kernel of ``simulate`` and the replay,
+with one block table that every row shares: each block is one real GEMM
+on the float view of the rows, where the block's qubits are the lowest
+axis, and one transpose copy then rotates the next block's qubits into
+that place.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -258,7 +261,7 @@ class _Segment(NamedTuple):
     half-register sign tables of the masks in ``signs``
     (``_multiply_phases``).  A mixer layer holds the real form of one
     Kronecker block per ``_block_sizes`` entry in ``blocks``, lowest
-    qubits first, each one (1, 2^(b+1), 2^(b+1)) table for every row
+    qubits first, each one (2^(b+1), 2^(b+1)) table for every row
     (``_mix``).  A single gate holds neither.
     """
 
@@ -342,7 +345,7 @@ def _segments(gates, q: int) -> list:
         betas = np.array([[float(gates[segments[s].lo].angle) / 2 for s in at]])
         tables = _real_block_tables(mixer, betas, sizes)
         for layer, s in enumerate(at):
-            segments[s] = segments[s]._replace(blocks=tuple(tables[b][layer] for b in sizes))
+            segments[s] = segments[s]._replace(blocks=tuple(tables[b][layer, 0] for b in sizes))
     return segments
 
 
@@ -466,40 +469,36 @@ def _multiply_phases(states, seg: _Segment, weights, rows) -> None:
 def _mix(states, blocks, buf) -> np.ndarray:
     """A mixer layer on the (B, 2^q) rows, one Kronecker block at a time,
     lowest qubits first; returns the rows, in ``states`` or a fresh array.
-    Each block is its real form R (``_real_block_tables``), of shape (1,
-    2^(b+1), 2^(b+1)) where every row shares one R, or (B, 2^(b+1),
-    2^(b+1)) with one R per row.
+    Each block is its real form R (``_real_block_tables``), one (2^(b+1),
+    2^(b+1)) table that every row shares.
 
     The block's qubits are the lowest axis, so the float view of the rows
-    as (high, 2^(b+1)) times R is the float view of the block applied:
-    one GEMM over all rows where they share R, else one per row.  One
-    transpose copy then turns the product, as complex (B, high, 2^b), into
-    the rows as (B, 2^b, high), so that the next block's qubits are lowest;
-    after the last block the qubits are in order again.
+    as (high, 2^(b+1)) times R is the float view of the block applied: one
+    GEMM over all rows.  One transpose copy then turns the product, as
+    complex (B, high, 2^b), into the rows as (B, 2^b, high), so that the
+    next block's qubits are lowest; after the last block the qubits are in
+    order again.
 
-    A batch of at most ``_GEMM_MACS`` / 64 amplitudes (64 KiB), such as
-    every lockstep batch, keeps each product within ``_GEMM_MACS``
-    multiply-adds: each is one allocating matmul, and a lone block (q <=
-    4) needs no transpose; a matmul into an existing array costs more per
-    call.  A larger batch, such as a replayed one, takes its products into
-    the scratch array ``buf`` of its shape, ``_GEMM_MACS`` at a time so
-    that OpenBLAS runs each on one thread, and copies them back into
+    A batch of at most ``_GEMM_MACS`` / 64 amplitudes (64 KiB) keeps each
+    product within ``_GEMM_MACS`` multiply-adds: each is one allocating
+    matmul, and a lone block (q <= 4) needs no transpose; a matmul into an
+    existing array costs more per call.  A larger batch takes its products
+    into the scratch array ``buf`` of its shape, ``_GEMM_MACS`` at a time
+    so that OpenBLAS runs each on one thread, and copies them back into
     ``states``: a fresh array that large would be faulted in every time.
     """
     rows, small = len(states), states.size <= _GEMM_MACS >> 6
     for r in blocks:
-        width = r.shape[-1]
-        x = states.view(float).reshape(len(r), -1, width)
+        width = len(r)
+        x = states.view(float).reshape(-1, width)
         if small:
             y = x @ r
         else:
             y = buf.view(float).reshape(x.shape)
             step = _GEMM_MACS // (width * width)
-            for lo in range(0, x.shape[1], step):
-                np.matmul(x[:, lo : lo + step], r, out=y[:, lo : lo + step])
-        y = y.view(complex)
-        if len(r) < rows:
-            y = y.reshape(rows, -1, width // 2)
+            for lo in range(0, len(x), step):
+                np.matmul(x[lo : lo + step], r, out=y[lo : lo + step])
+        y = y.view(complex).reshape(rows, -1, width // 2)
         if small:
             states = y.transpose(0, 2, 1).copy() if len(blocks) > 1 else y
         else:
@@ -547,9 +546,11 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
     """Fast QAOA evolution using the diagonality of the cost Hamiltonian.
 
     Each cost layer is a single elementwise phase; each mixer layer is a
-    few Kronecker blocks up to 9 qubits and one rotation per qubit from
-    10.  Matches gate-by-gate simulation of the built ansatz to rounding
-    (the constant term is excluded, as the gate list also drops it).
+    few Kronecker blocks up to 9 qubits (from 5 qubits, RX's as real
+    blocks in the frame of ``_evolve_lockstep``) and one rotation per
+    qubit from 10.  Matches gate-by-gate simulation of the built ansatz to
+    rounding (the constant term is excluded, as the gate list also drops
+    it).
 
     ``gammas`` and ``betas`` of shape (p,) give one state; of shape (B, p),
     one state per row, returned as the rows of (B, 2^q) amplitudes, each
@@ -614,6 +615,11 @@ _ENTRY_FACTORS = {
 }
 
 
+# i^popcount(x) for every basis state x of a lockstep register: the
+# frame in which an RX mixer layer is real (``_evolve_lockstep``)
+_FRAME = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(LOCKSTEP_AMPLITUDES)) % 4]
+
+
 def _block_sizes(q: int) -> tuple:
     """Qubits per mixer block, lowest block first: the fewest blocks of at
     most ``_BLOCK_QUBITS`` qubits, as equal as possible."""
@@ -666,23 +672,34 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     (B, 2^q) array, each with the bytes of its row evolved alone.
 
     Each cost layer takes one ``exp`` per distinct energy level and row
-    (``shifted_levels()``; up to 9 qubits, for all layers at once),
-    gathered into a fresh (B, 2^q) phase: every entry is the same product
-    of the same bytes as over all 2^q energies.  The form ``state * <fresh
-    phase>`` matters: numpy reuses a temporary of 256 KiB or more, which
-    swaps the operands of the complex multiply exactly as for a state
-    evolved alone, while an in-place multiply would not.
+    (``shifted_levels()``), gathered into place: every entry is the same
+    product of the same bytes as over all 2^q energies.  Up to 9 qubits
+    every layer's phase is gathered at once, one (p, B, 2^q) array per
+    call.  A lone row (from 10 qubits) gathers each layer's phase fresh:
+    the form ``state * <fresh phase>`` matters there, as numpy reuses a
+    temporary of 256 KiB or more, which swaps the operands of the complex
+    multiply exactly as for a state evolved alone, while an in-place
+    multiply would not.  A lone row then takes one 2x2 rotation per qubit.
 
     Where rows share batches (``lockstep_rows(q) > 1``, up to 9 qubits),
-    each mixer layer is ``_mix`` with each row's own real block forms
-    (``_real_block_tables``): one GEMM per row and block, so each row's
-    products are those of the row alone.  A lockstep batch (at most 24
-    KiB) is below ``_mix``'s scratch-array size, so it passes none.  No
-    GEMM has more than 16,384
-    multiply-adds (m n k: 64 x 16 x 16 at q = 9, 16 x 32 x 32 at q = 8),
-    far below the ``_GEMM_MACS`` up to which OpenBLAS runs a GEMM on one
-    thread.  A lone row (from 10 qubits) takes one 2x2 rotation per
-    qubit.
+    each mixer layer is the Kronecker blocks of ``_block_sizes``, applied
+    where they lie on the float view of the rows, with no transpose.  The
+    lowest block is one GEMM of the rows as (B, high, 2^(b+1)) floats
+    against each row's real form R (``_real_block_tables``).  An upper
+    block is real, as R's even rows and columns read off, and is one
+    broadcast matmul of each row's 2^b x 2^b block on its own axis of the
+    rows as (B, high, 2^b, 2 low) floats.  Either way every row takes its
+    own GEMMs, so its products are those of the row alone.  No GEMM has
+    more than 16,384 multiply-adds (m n k: 64 x 16 x 16 and 8 x 128 x 8 at
+    q = 9, 16 x 32 x 32 at q = 8), far below the ``_GEMM_MACS`` up to
+    which OpenBLAS runs a GEMM on one thread.
+
+    RY's blocks are real.  An RX evolution with upper blocks (q = 5 to 9)
+    and at least one layer runs in the frame D = diag(1, i) on every qubit:
+    D^-1 RX(2 beta) D = RY(-2 beta), and D commutes with every cost phase.
+    So it is the RY(-2 beta) evolution of (-i)^popcount(x) / sqrt(2^q),
+    times i^popcount(x) at the end (``_FRAME``); both factors are powers
+    of i, so those multiplies are exact.
     """
     q = h.num_qubits
     dim, rows = 1 << q, len(gammas)
@@ -697,9 +714,30 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
                 _apply_1q(state[0], mat, k, mixer == "RX")
         return state
     sizes = _block_sizes(q)
-    tables = _real_block_tables(mixer, betas, sizes)
-    for layer, phase in enumerate(np.exp(scales * levels)):
-        state = _mix(state * phase.take(inverse, axis=1), [tables[b][layer] for b in sizes], None)
+    phases = np.exp(scales * levels).take(inverse, axis=2)
+    if not sizes:  # no qubit to mix: each layer is its phase alone
+        for phase in phases:
+            state = state * phase
+        return state
+    framed = mixer == "RX" and len(sizes) > 1 and len(phases) > 0
+    if framed:
+        state *= _FRAME[:dim].conj()
+    kind, angles = ("RY", -betas) if framed else (mixer, betas)
+    tables = _real_block_tables(kind, angles, sizes)
+    low, width = tables[sizes[0]], 2 << sizes[0]
+    uppers = {
+        b: np.ascontiguousarray(tables[b][..., ::2, ::2].swapaxes(-1, -2))[:, :, None]
+        for b in set(sizes[1:])
+    }
+    for layer, phase in enumerate(phases):
+        x = (state * phase).view(float).reshape(rows, -1, width) @ low[layer]
+        below = width
+        for b in sizes[1:]:
+            x = np.matmul(uppers[b][layer], x.reshape(rows, -1, 1 << b, below))
+            below <<= b
+        state = x.reshape(rows, -1).view(complex)
+    if framed:
+        state *= _FRAME[:dim]
     return state
 
 

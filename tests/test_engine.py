@@ -284,7 +284,16 @@ def test_single_rows_match_the_single_state_oracle(square_fixture_model):
 def test_zero_beta_beside_nonzero_ones_matches_the_oracle(mixer, triangle_model):
     # a zero beta's rotation is diagonal by its values; its row still
     # takes the mixer's update, together with the other rows
-    h = DiagonalHamiltonian.from_ising(triangle_model)
+    assert_zero_betas_match_the_oracle(DiagonalHamiltonian.from_ising(triangle_model), mixer)
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+def test_zero_beta_on_the_square_matches_the_oracle(mixer, square_fixture_model):
+    # the square (9 qubits, three blocks) takes upper blocks, and RX its frame
+    assert_zero_betas_match_the_oracle(DiagonalHamiltonian.from_ising(square_fixture_model), mixer)
+
+
+def assert_zero_betas_match_the_oracle(h, mixer):
     gammas = np.array([[0.0, 0.4], [0.3, 0.0], [0.7, 1.1]])
     betas = np.array([[0.0, 0.5], [0.2, -0.0], [0.9, 0.6]])
     # in four rows, only the middle one of three layers has zero betas
@@ -370,6 +379,17 @@ def test_real_block_tables_are_real_forms_of_the_kronecker_products(b, mixer):
             x = rng.normal(size=(3, 2 * d))
             mixed = (x @ real).view(complex)
             assert np.max(np.abs(mixed - x.view(complex) @ u.T)) <= 1e-14
+
+
+@pytest.mark.parametrize("b", range(1, engine._BLOCK_QUBITS + 1))
+def test_rx_blocks_are_ry_blocks_in_the_powers_of_i_frame(b):
+    # with F = i^popcount(x) and D = diag(F): D^-1 RX(2 beta) D = RY(-2
+    # beta) on every qubit, the frame of the lockstep's RX evolution
+    frame = np.array([1j ** bin(x).count("1") for x in range(1 << b)])
+    assert engine._FRAME[: 1 << b].tolist() == frame.tolist()
+    for beta in (0.0, math.pi / 2, -math.pi / 2, 0.7, -2.1, 3e-9):
+        rx = frame.conj()[:, None] * kronecker_block("RX", beta, b) * frame
+        assert np.max(np.abs(rx - kronecker_block("RY", -beta, b))) <= 1e-15
 
 
 def real_forms_by_running_products(mixer, betas, b):
@@ -462,6 +482,19 @@ def test_empty_and_zero_layer_batches(triangle_model):
     batch = qaoa_state(h, np.zeros((3, 0)), np.zeros((3, 0)))
     single = qaoa_state(h, [], [])
     assert all(row.tobytes() == single.amplitudes.tobytes() for row in batch.amplitudes)
+
+
+@pytest.mark.parametrize("mixer", ["RX", "RY"])
+@pytest.mark.parametrize("q", range(5, 10))
+def test_zero_layer_rows_keep_the_bytes_of_the_uniform_state(q, mixer):
+    # from 5 qubits an RX evolution runs in a frame of powers of i; with no
+    # layer there is no frame, and no signed zero from one
+    h = random_hamiltonian(np.random.default_rng(q), q)
+    uniform = np.full(1 << q, 1.0 / math.sqrt(1 << q), dtype=complex)
+    alone = qaoa_state(h, [], [], mixer).amplitudes
+    batch = qaoa_state(h, np.zeros((3, 0)), np.zeros((3, 0)), mixer).amplitudes
+    assert alone.tobytes() == uniform.tobytes()
+    assert all(row.tobytes() == uniform.tobytes() for row in batch)
 
 
 def test_sample_refuses_a_batch(triangle_model):
