@@ -50,10 +50,10 @@ on every qubit, where its blocks are real.  A lone row (every state
 from q = 10) takes one 2x2 rotation per qubit.
 
 ``_mix`` is the Kronecker-block kernel of ``simulate`` and the replay,
-with one block table that every row shares: each block is one real GEMM
-on the float view of the rows, where the block's qubits are the lowest
-axis, and one transpose copy then rotates the next block's qubits into
-that place.
+in place, with one block table that every row shares: each block is one
+real GEMM on the float view of the rows into a scratch array, where the
+block's qubits are the lowest axis, and one transpose copy back into the
+rows then rotates the next block's qubits into that place.
 
 Randomness is split into four counter-derived substreams of the user
 seed - measurement, gate-error flags, Pauli choices, readout flips - so
@@ -65,6 +65,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -362,9 +363,10 @@ def _check_circuit(c: ParamCircuit) -> None:
 
 
 def check_shots(shots: int) -> None:
-    """Refuse a shot count outside 1..SHOT_CAP."""
-    if not 1 <= shots <= SHOT_CAP:
-        raise ValueError(f"shots must be in 1..{SHOT_CAP}, got {shots}")
+    """Refuse a shot count that is not an integer in 1..SHOT_CAP."""
+    integer = isinstance(shots, Integral) and not isinstance(shots, bool)
+    if not (integer and 1 <= shots <= SHOT_CAP):
+        raise ValueError(f"shots must be in 1..{SHOT_CAP}, an integer, got {shots!r}")
 
 
 def _ground(q: int) -> np.ndarray:
@@ -376,11 +378,12 @@ def _ground(q: int) -> np.ndarray:
 
 def _evolve(states: np.ndarray, segments, gates, events=None) -> np.ndarray:
     """The (B, 2^q) states, one per row, through the segments of
-    ``_segments``.  ``events`` maps a segment's first gate to the
-    errors that land in it (``_carried``).  Each row carries them as one
-    pending Pauli X^x Z^z, applied (``_flush``) before a mixer layer,
-    before a single gate on a qubit it touches, and at the end.  One
-    scratch array of the batch's shape serves every mixer layer and flush."""
+    ``_segments``, in place; returns ``states``.  ``events`` maps a
+    segment's first gate to the errors that land in it (``_carried``).
+    Each row carries them as one pending Pauli X^x Z^z, applied
+    (``_flush``) before a mixer layer, before a single gate on a qubit it
+    touches, and at the end.  One scratch array of the batch's shape
+    serves every mixer layer (``_mix``) and flush."""
     px = np.zeros(len(states), dtype=np.int64)
     pz = np.zeros_like(px)
     buf = np.empty_like(states)
@@ -391,7 +394,7 @@ def _evolve(states: np.ndarray, segments, gates, events=None) -> np.ndarray:
             continue
         if seg.blocks:
             _flush(states, px, pz, buf)
-            states = _mix(states, seg.blocks, buf)
+            _mix(states, seg.blocks, buf)
         else:
             g = gates[seg.lo]
             _flush(states, px, pz, buf, sum(1 << (k - 1) for k in g.targets))
@@ -466,44 +469,30 @@ def _multiply_phases(states, seg: _Segment, weights, rows) -> None:
         states[rows, lo * width : (lo + step) * width] *= phase.reshape(len(a), -1)
 
 
-def _mix(states, blocks, buf) -> np.ndarray:
-    """A mixer layer on the (B, 2^q) rows, one Kronecker block at a time,
-    lowest qubits first; returns the rows, in ``states`` or a fresh array.
-    Each block is its real form R (``_real_block_tables``), one (2^(b+1),
-    2^(b+1)) table that every row shares.
+def _mix(states, blocks, buf) -> None:
+    """A mixer layer on the (B, 2^q) rows, in place, one Kronecker block
+    at a time, lowest qubits first.  Each block is its real form R
+    (``_real_block_tables``), one (2^(b+1), 2^(b+1)) table that every row
+    shares.
 
     The block's qubits are the lowest axis, so the float view of the rows
-    as (high, 2^(b+1)) times R is the float view of the block applied: one
-    GEMM over all rows.  One transpose copy then turns the product, as
-    complex (B, high, 2^b), into the rows as (B, 2^b, high), so that the
-    next block's qubits are lowest; after the last block the qubits are in
-    order again.
-
-    A batch of at most ``_GEMM_MACS`` / 64 amplitudes (64 KiB) keeps each
-    product within ``_GEMM_MACS`` multiply-adds: each is one allocating
-    matmul, and a lone block (q <= 4) needs no transpose; a matmul into an
-    existing array costs more per call.  A larger batch takes its products
-    into the scratch array ``buf`` of its shape, ``_GEMM_MACS`` at a time
-    so that OpenBLAS runs each on one thread, and copies them back into
-    ``states``: a fresh array that large would be faulted in every time.
+    as (high, 2^(b+1)) times R is the float view of the block applied.
+    The products go into the scratch array ``buf`` of the rows' shape, at
+    most ``_GEMM_MACS`` multiply-adds per GEMM so that OpenBLAS runs each
+    on one thread.  One transpose copy then writes them, as complex (B, high,
+    2^b), back into ``states`` as (B, 2^b, high), so that the next block's
+    qubits are lowest; after the last block the qubits are in order again.
     """
-    rows, small = len(states), states.size <= _GEMM_MACS >> 6
+    rows = len(states)
     for r in blocks:
         width = len(r)
         x = states.view(float).reshape(-1, width)
-        if small:
-            y = x @ r
-        else:
-            y = buf.view(float).reshape(x.shape)
-            step = _GEMM_MACS // (width * width)
-            for lo in range(0, len(x), step):
-                np.matmul(x[lo : lo + step], r, out=y[lo : lo + step])
+        y = buf.view(float).reshape(x.shape)
+        step = _GEMM_MACS // (width * width)
+        for lo in range(0, len(x), step):
+            np.matmul(x[lo : lo + step], r, out=y[lo : lo + step])
         y = y.view(complex).reshape(rows, -1, width // 2)
-        if small:
-            states = y.transpose(0, 2, 1).copy() if len(blocks) > 1 else y
-        else:
-            states.reshape(rows, width // 2, -1)[...] = y.transpose(0, 2, 1)
-    return states.reshape(rows, -1)
+        states.reshape(rows, width // 2, -1)[...] = y.transpose(0, 2, 1)
 
 
 def _flush(states, px, pz, buf, touch: int = -1) -> None:

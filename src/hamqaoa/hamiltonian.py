@@ -17,6 +17,7 @@ independent of the compiler so the two can cross-check each other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,21 @@ class DiagonalHamiltonian:
     _levels: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        """Refuse a negative qubit count, a mask outside 0 .. 2^q - 1 (its
+        high bits would name no qubit) and a non-finite coefficient or
+        constant."""
+        q = self.num_qubits
+        if q < 0:
+            raise ValueError(f"num_qubits must be >= 0, got {q}")
+        if not math.isfinite(self.constant):
+            raise ValueError(f"constant must be finite, got {self.constant!r}")
+        for mask, c in self.terms:
+            if not 0 <= mask < 1 << q:
+                raise ValueError(f"term mask {mask:#b} is outside 0 .. 2^{q} - 1")
+            if not math.isfinite(c):
+                raise ValueError(f"term {mask:#b} has a non-finite coefficient {c!r}")
 
     @classmethod
     def from_ising(cls, m: IsingModel) -> "DiagonalHamiltonian":

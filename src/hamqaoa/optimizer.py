@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -46,12 +47,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        # a float budget would never equal a restart's count of evaluations
+        for name, least in (("max_evals", 1), ("restarts", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass

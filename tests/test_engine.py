@@ -184,6 +184,27 @@ def test_shot_count_outside_the_cap_is_refused(shots, triangle_model):
         simulate_noisy(c, BENCH_NOISE, shots, seed=0)
 
 
+@pytest.mark.parametrize("shots", [2.5, 100.0, True, "50"])
+def test_shot_count_that_is_no_integer_is_refused(shots, triangle_model, monkeypatch):
+    c = bind(build_ansatz(triangle_model, 1), [0.3], [0.4])
+    with pytest.raises(ValueError, match="shots"):
+        sample(simulate(c), shots, seed=0)
+    with pytest.raises(ValueError, match="shots"):
+        simulate_noisy(c, BENCH_NOISE, shots, seed=0)
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the solve ran before its shot count was checked")
+
+    monkeypatch.setattr(hamqaoa.optimizer, "minimize", no_evaluation)
+    with pytest.raises(ValueError, match="shots"):
+        qaoa_solve(triangle_model, 1, cfg=OptimizerConfig(max_evals=10), shots=shots)
+
+
+def test_shot_count_may_be_a_numpy_integer(triangle_model):
+    c = bind(build_ansatz(triangle_model, 1), [0.3], [0.4])
+    assert sample(simulate(c), np.int64(50), seed=0) == sample(simulate(c), 50, seed=0)
+
+
 def test_shot_cap_is_inclusive():
     s = Statevector(np.array([0, 1], dtype=complex), 1)
     assert sample(s, engine.SHOT_CAP, seed=0).counts == {"1": engine.SHOT_CAP}

@@ -66,6 +66,32 @@ def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "q, terms, constant, match",
+    [
+        (-1, (), 0.0, "num_qubits"),
+        (2, ((0b100, 1.0),), 0.0, "outside"),
+        (2, ((-1, 1.0),), 0.0, "outside"),
+        (2, ((0b1, 1.0),), float("nan"), "constant"),
+        (2, ((0b1, 1.0),), float("-inf"), "constant"),
+        (2, ((0b1, float("inf")),), 0.0, "non-finite"),
+        (2, ((0b11, float("nan")),), 0.0, "non-finite"),
+    ],
+    ids=[
+        "negative-qubits",
+        "mask-past-the-register",
+        "negative-mask",
+        "nan-constant",
+        "infinite-constant",
+        "infinite-coefficient",
+        "nan-coefficient",
+    ],
+)
+def test_hamiltonian_refuses_what_no_register_holds(q, terms, constant, match):
+    with pytest.raises(ValueError, match=match):
+        DiagonalHamiltonian(q, terms, constant)
+
+
 def test_level_table_gathers_the_shifted_energies_exactly(square_fixture_model):
     h = DiagonalHamiltonian.from_ising(square_fixture_model)
     levels, inverse = h.shifted_levels()

@@ -83,6 +83,22 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
 
 
+@pytest.mark.parametrize("name", ["max_evals", "restarts", "seed"])
+@pytest.mark.parametrize("value", [1.5, 10.5, 2.0, True, "3"])
+def test_config_refuses_what_is_no_integer(name, value):
+    # float budgets split into float shares that no count of evaluations
+    # equals, so a solve would run past max_evals
+    with pytest.raises(ValueError, match=name):
+        OptimizerConfig(**{name: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = OptimizerConfig(max_evals=np.int64(40), restarts=np.int32(2), seed=np.uint8(3))
+    plain = OptimizerConfig(max_evals=40, restarts=2, seed=3)
+    x0 = np.zeros(2)
+    assert outcome(minimize(bowl, x0, cfg)) == outcome(minimize(bowl, x0, plain))
+
+
 def test_minimize_needs_a_parameter():
     with pytest.raises(ValueError, match="at least one parameter"):
         minimize(bowl, np.zeros(0), OptimizerConfig())
@@ -251,6 +267,28 @@ def test_no_restart_converges_within_d_plus_2_evaluations(d, name, scale, seed):
         run.tell(f(run.x))
     assert len(run.values) == d + 2
     assert not run.converged
+
+
+SOLVER_SIZE_OBJECTIVES = {
+    "bowl": bowl,
+    # ties: whole plateaus of equal values, so vertex order rests on the sort
+    "floor-sum": lambda x: float(np.floor(np.sum(x))),
+    "floor-bowl": lambda x: float(np.floor(4.0 * np.sum((x - 1.0) ** 2))),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("name", sorted(SOLVER_SIZE_OBJECTIVES))
+@pytest.mark.parametrize("d", [4, 16], ids=["triangle-p2", "square-p8"])
+def test_solver_sizes_match_closure_oracle(d, name, width, seed):
+    # the solver's own dimensions: 2p angles, so 17 simplex vertices for
+    # np.argsort to order at p = 8; starts drawn as qaoa_solve draws them
+    f = SOLVER_SIZE_OBJECTIVES[name]
+    x0 = optimizer.TWO_PI * np.random.default_rng((seed, 0)).random(d)
+    cfg = OptimizerConfig(max_evals=900, restarts=3, seed=seed)
+    r = minimize(rows_of(f) if width > 1 else f, x0, cfg, width=width)
+    assert outcome(r) == outcome(closure_minimize(f, x0, cfg))
 
 
 def test_lockstep_width_and_objective_shape_are_checked():
