@@ -8,6 +8,7 @@ ZZ terms decompose as CNOT - RZ - CNOT.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from .errors import ArityMismatch, EmptyModel
 from .qubo import IsingModel
@@ -91,6 +92,8 @@ def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     mixer = check_mixer(mixer)
     if m.num_qubits < 1:
         raise EmptyModel("ansatz needs at least one qubit")
+    if isinstance(p, bool) or not isinstance(p, Integral):
+        raise ValueError(f"layer count must be an integer, got {p!r}")
     if not 0 <= p <= LAYER_CAP:
         raise ValueError(f"layer count must be in 0..{LAYER_CAP}, got {p}")
     gates: list[Gate] = [Gate("H", (q,)) for q in range(1, m.num_qubits + 1)]

@@ -186,8 +186,7 @@ def _manifest(command: str, **params) -> dict:
 
 def _dist_csv(dist: Distribution) -> str:
     lines = ["bitstring,count,probability"]
-    for bits in sorted(dist.counts):
-        c = dist.counts[bits]
+    for bits, c in sorted(dist.counts.items()):
         lines.append(f"{bits},{c},{c / dist.shots:.6f}")
     return "\n".join(lines)
 
@@ -286,12 +285,10 @@ def cmd_solve(args) -> int:
 def _merged_csv(arms) -> str:
     """Both arms' counts per bitstring; arms are two (label, distribution)."""
     (label_a, dist_a), (label_b, dist_b) = arms
-    keys = sorted(set(dist_a.counts) | set(dist_b.counts))
+    counts_a, counts_b = dict(dist_a.counts.items()), dict(dist_b.counts.items())
     lines = [f"bitstring,count_{label_a},count_{label_b}"]
-    for bits in keys:
-        lines.append(
-            f"{bits},{dist_a.counts.get(bits, 0)},{dist_b.counts.get(bits, 0)}"
-        )
+    for bits in sorted(counts_a.keys() | counts_b.keys()):
+        lines.append(f"{bits},{counts_a.get(bits, 0)},{counts_b.get(bits, 0)}")
     return "\n".join(lines)
 
 

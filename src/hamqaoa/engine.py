@@ -42,12 +42,16 @@ returns, byte for byte.
 routine, up to ``lockstep_rows(q)`` states at a time as the rows of one
 array, so that one numpy operation per step serves them all; each state
 keeps the bytes it would have evolved alone.  Every cost layer takes its
-phase once per distinct energy level and gathers it.  Up to 9 qubits,
-where rows share batches, each mixer layer is a few Kronecker blocks of
-at most 4 qubits, each row's own, applied where they lie on the float
-view of the rows; from 5 qubits RX runs as RY in the frame diag(1, i)
-on every qubit, where its blocks are real.  A lone row (every state
-from q = 10) takes one 2x2 rotation per qubit.
+phase once per distinct energy level and gathers it.  Each mixer layer is
+a few Kronecker blocks of at most 4 qubits, each row's own, applied where
+they lie on the float view of the rows, in GEMMs small enough for one
+BLAS thread; from 5 qubits RX runs as RY in the frame diag(1, i) on every
+qubit, where its blocks are real.  From 10 qubits a batch holds one row,
+which takes the same blocks; from 13 each layer is written over it chunk
+by chunk, so that no step makes a second state-sized array.
+
+A ``Distribution`` holds outcome indices and their tallies as arrays;
+bit strings are made only when its ``counts`` are read.
 
 ``_mix`` is the Kronecker-block kernel of ``simulate`` and the replay,
 in place, with one block table that every row shares: each block is one
@@ -62,8 +66,9 @@ that a zero-noise trajectory run reproduces noiseless sampling exactly.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
@@ -78,7 +83,6 @@ from .hamiltonian import (
     _bit_strings,
     _half_sign_tables,
     check_qubits,
-    energy_of,
 )
 
 DEFAULT_SHOTS = 10000
@@ -93,11 +97,9 @@ _BATCH_AMPLITUDES = 1 << 16
 
 # Most amplitudes of one batch of QAOA states evolved in lockstep.  Timed
 # at p=4 against one state at a time: 3 states of 2^9 amplitudes ran 1.52x
-# faster together and 2 of 2^9 1.33x.  2 of 2^10 ran 1.1x faster together
-# than alone through the same blocks, and 1.9x faster than alone through
-# the per-qubit rotations they take from q = 10, whose bytes a larger
-# value would change.  24 KiB at complex128, far below the 256 KiB from
-# which numpy reuses temporaries (which would swap the operand order of
+# faster together and 2 of 2^9 1.33x; from q = 10 each state is a batch
+# of its own.  24 KiB at complex128, far below the 256 KiB from which
+# numpy reuses temporaries (which would swap the operand order of
 # ``state * phase``).
 LOCKSTEP_AMPLITUDES = 3 << 9
 
@@ -174,19 +176,84 @@ def noise_record(nm: NoiseModel | None) -> dict | None:
     return None if nm is None else {"p1": nm.p1, "p2": nm.p2, "ro": nm.readout_flip}
 
 
-@dataclass(frozen=True)
+def _index_of(bits, q: int) -> int | None:
+    """Basis index of a q-character assignment string, or None for any
+    other key."""
+    if not (isinstance(bits, str) and len(bits) == q and set(bits) <= {"0", "1"}):
+        return None
+    return int(bits[::-1], 2) if bits else 0
+
+
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    counts: dict[str, int]
+    """The measured outcomes of ``shots`` shots on ``num_qubits`` qubits:
+    the distinct basis indices ``outcomes`` and their ``tallies``, as
+    arrays in order of first occurrence.  ``counts`` reads them as bit
+    strings, made only at the output edge."""
+
+    outcomes: np.ndarray
+    tallies: np.ndarray
+    num_qubits: int
     shots: int
 
+    @property
+    def counts(self) -> Mapping[str, int]:
+        return _Counts(self)
+
+    def __eq__(self, other):
+        """Equal shots and equal counts, in any order, as dicts compare."""
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return self.shots == other.shots and self.counts == other.counts
+
     def mass(self, states) -> float:
-        return sum(self.counts.get(s, 0) for s in states) / self.shots
+        """The fraction of shots on any of the bit strings ``states``."""
+        wanted = [_index_of(bits, self.num_qubits) for bits in states]
+        hits = np.isin(self.outcomes, [i for i in wanted if i is not None])
+        return int(self.tallies[hits].sum()) / self.shots
 
     def mean_energy(self, h: DiagonalHamiltonian) -> float:
-        return (
-            sum(c * energy_of(h, bits) for bits, c in self.counts.items())
-            / self.shots
-        )
+        """The shots' mean energy, summed in order of first occurrence."""
+        if h.num_qubits != self.num_qubits:
+            raise DimensionMismatch(
+                f"distribution has {self.num_qubits} qubits, operator {h.num_qubits}"
+            )
+        check_qubits(h.num_qubits)
+        energies = h.energies()[self.outcomes].tolist()
+        return sum(c * e for c, e in zip(self.tallies.tolist(), energies)) / self.shots
+
+
+class _Counts(Mapping):
+    """A distribution's counts as a read-only mapping of bit strings, in
+    order of first occurrence.  It holds no dict: a key is looked up by
+    its basis index, and the strings are made when iterated."""
+
+    def __init__(self, dist: Distribution):
+        self._dist = dist
+
+    def __getitem__(self, bits) -> int:
+        index = _index_of(bits, self._dist.num_qubits)
+        hit = () if index is None else np.flatnonzero(self._dist.outcomes == index)
+        if not len(hit):
+            raise KeyError(bits)
+        return int(self._dist.tallies[hit[0]])
+
+    def __iter__(self):
+        return iter(_bit_strings(self._dist.outcomes, self._dist.num_qubits))
+
+    def __len__(self) -> int:
+        return len(self._dist.outcomes)
+
+    # as lists, made in one pass, not the views of Mapping, which would
+    # look up every key
+    def items(self) -> list:
+        return list(zip(self, self._dist.tallies.tolist()))
+
+    def values(self) -> list:
+        return self._dist.tallies.tolist()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 def _rotation(kind: str, theta: float) -> tuple:
@@ -535,11 +602,10 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
     """Fast QAOA evolution using the diagonality of the cost Hamiltonian.
 
     Each cost layer is a single elementwise phase; each mixer layer is a
-    few Kronecker blocks up to 9 qubits (from 5 qubits, RX's as real
-    blocks in the frame of ``_evolve_lockstep``) and one rotation per
-    qubit from 10.  Matches gate-by-gate simulation of the built ansatz to
-    rounding (the constant term is excluded, as the gate list also drops
-    it).
+    few Kronecker blocks (from 5 qubits, RX's as real blocks in the frame
+    of ``_evolve_lockstep``).  Matches gate-by-gate simulation of the
+    built ansatz to rounding (the constant term is excluded, as the gate
+    list also drops it).
 
     ``gammas`` and ``betas`` of shape (p,) give one state; of shape (B, p),
     one state per row, returned as the rows of (B, 2^q) amplitudes, each
@@ -604,11 +670,6 @@ _ENTRY_FACTORS = {
 }
 
 
-# i^popcount(x) for every basis state x of a lockstep register: the
-# frame in which an RX mixer layer is real (``_evolve_lockstep``)
-_FRAME = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(LOCKSTEP_AMPLITUDES)) % 4]
-
-
 def _block_sizes(q: int) -> tuple:
     """Qubits per mixer block, lowest block first: the fewest blocks of at
     most ``_BLOCK_QUBITS`` qubits, as equal as possible."""
@@ -656,22 +717,103 @@ def _real_block_tables(mixer: str, betas, sizes) -> dict:
     }
 
 
+# Most amplitudes of the cost phases one gather builds up to 12 qubits: a
+# batch up to 9 qubits (at most 3 << 9 amplitudes) gathers the phases of
+# up to 42 layers at once, and a 12-qubit row those of 16.  From 13 qubits
+# each chunk of ``_layer_in_place`` gathers its own.
+_PHASE_AMPLITUDES = 1 << 16
+
+
+# Most low bits of one row of the RX frame's table (``_frame_tables``)
+_FRAME_BITS = 10
+
+
+@functools.cache
+def _frame_tables(q: int) -> tuple:
+    """i^popcount(x) on q qubits as rows over the values xl of the low
+    min(q, ``_FRAME_BITS``) bits: k = popcount(xh) mod 4 for every value
+    xh of the higher bits, the row i^(k + popcount(xl)) for each k, and
+    the conjugate rows."""
+    lo = min(q, _FRAME_BITS)
+    powers = np.array([1, 1j, -1, -1j])
+    rows = powers[(np.arange(4)[:, None] + np.bitwise_count(np.arange(1 << lo))) % 4]
+    tables = rows, rows.conj()
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return (np.bitwise_count(np.arange(1 << (q - lo))) % 4).tolist(), *tables
+
+
+def _multiply_frame(states, q: int, conj: bool = False) -> None:
+    """Multiply every (B, 2^q) row by i^popcount(x), or by its conjugate,
+    in place: each amplitude takes the same factor as from one table over
+    all 2^q states, one row of ``_frame_tables`` at a time."""
+    ks, rows, conj_rows = _frame_tables(q)
+    table = conj_rows if conj else rows
+    view = states.reshape(len(states), len(ks), -1)
+    for high, k in enumerate(ks):
+        view[:, high] *= table[k]
+
+
+# Qubits of one chunk of a layer written in place (``_layer_in_place``):
+# a lowest block of 4 qubits takes one GEMM of _GEMM_MACS multiply-adds
+# per chunk, and the chunk's 64 KiB stay in cache through its blocks.
+_CHUNK_QUBITS = 12
+
+
+def _layer_in_place(state, phase, inverse, sizes, low, uppers) -> None:
+    """One layer of ``_evolve_lockstep`` written over the (B, 2^q) rows
+    ``state``, given the layer's phase per energy level and row, its real
+    lowest block ``low`` and its upper blocks by size, so that no step
+    makes an array of the rows' size.
+
+    The blocks that act within chunks of 2^``_CHUNK_QUBITS`` amplitudes go
+    chunk by chunk: the chunk takes its phase into scratch, each block's
+    GEMM reads the one before, and the last writes over the chunk.  Each
+    block above goes by slices of its axis or, where one slice passes
+    ``_GEMM_MACS``, by columns, each GEMM into scratch copied back.  No
+    GEMM has more than ``_GEMM_MACS`` multiply-adds.
+    """
+    rows = len(state)
+    inner = int(np.cumsum(sizes).searchsorted(_CHUNK_QUBITS, side="right"))
+    for lo in range(0, state.shape[1], 1 << _CHUNK_QUBITS):
+        amps = slice(lo, lo + (1 << _CHUNK_QUBITS))
+        target = state[:, amps].view(float)  # the last GEMM writes over it
+        x = (state[:, amps] * phase.take(inverse[amps], axis=1)).view(float)
+        width = 2 << sizes[0]
+        shape = (rows, -1, width)
+        out = target.reshape(shape) if inner == 1 else None
+        x = np.matmul(x.reshape(shape), low, out=out)
+        for i, b in enumerate(sizes[1:inner], 2):
+            shape = (rows, -1, 1 << b, width)
+            out = target.reshape(shape) if i == inner else None
+            x = np.matmul(uppers[b], x.reshape(shape), out=out)
+            width <<= b
+    width = 2 << sum(sizes[:inner])
+    for b in sizes[inner:]:
+        x = state.view(float).reshape(rows, -1, 1 << b, width)
+        step = max(1, _GEMM_MACS // (width << 2 * b))
+        columns = min(width, _GEMM_MACS >> 2 * b)
+        for lo in range(0, x.shape[1], step):
+            for c in range(0, width, columns):
+                chunk = x[:, lo : lo + step, :, c : c + columns]
+                chunk[...] = np.matmul(uppers[b], chunk)
+        width <<= b
+
+
 def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.ndarray:
     """The states of the (B, p) angle rows as the rows of one C-ordered
     (B, 2^q) array, each with the bytes of its row evolved alone.
 
     Each cost layer takes one ``exp`` per distinct energy level and row
     (``shifted_levels()``), gathered into place: every entry is the same
-    product of the same bytes as over all 2^q energies.  Up to 9 qubits
-    every layer's phase is gathered at once, one (p, B, 2^q) array per
-    call.  A lone row (from 10 qubits) gathers each layer's phase fresh:
-    the form ``state * <fresh phase>`` matters there, as numpy reuses a
-    temporary of 256 KiB or more, which swaps the operands of the complex
-    multiply exactly as for a state evolved alone, while an in-place
-    multiply would not.  A lone row then takes one 2x2 rotation per qubit.
+    product of the same bytes as over all 2^q energies.  Up to 12 qubits
+    the phases of as many layers as fit ``_PHASE_AMPLITUDES`` are gathered
+    at once, so no (p, B, 2^q) array is built past that, and the rows take
+    each layer's phase as ``state * phase``: a one-entry array multiplied
+    in place takes numpy's reduction loop, which rounds the complex
+    product otherwise.
 
-    Where rows share batches (``lockstep_rows(q) > 1``, up to 9 qubits),
-    each mixer layer is the Kronecker blocks of ``_block_sizes``, applied
+    Each mixer layer is the Kronecker blocks of ``_block_sizes``, applied
     where they lie on the float view of the rows, with no transpose.  The
     lowest block is one GEMM of the rows as (B, high, 2^(b+1)) floats
     against each row's real form R (``_real_block_tables``).  An upper
@@ -679,54 +821,71 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
     broadcast matmul of each row's 2^b x 2^b block on its own axis of the
     rows as (B, high, 2^b, 2 low) floats.  Either way every row takes its
     own GEMMs, so its products are those of the row alone.  No GEMM has
-    more than 16,384 multiply-adds (m n k: 64 x 16 x 16 and 8 x 128 x 8 at
-    q = 9, 16 x 32 x 32 at q = 8), far below the ``_GEMM_MACS`` up to
-    which OpenBLAS runs a GEMM on one thread.
+    more than ``_GEMM_MACS`` multiply-adds, up to which OpenBLAS runs it
+    on one thread: up to 9 qubits none has more than 16,384 (m n k: 64 x
+    16 x 16 and 8 x 128 x 8 at q = 9, 16 x 32 x 32 at q = 8), and up to 12
+    qubits each block is one call into a fresh array.
 
-    RY's blocks are real.  An RX evolution with upper blocks (q = 5 to 9)
-    and at least one layer runs in the frame D = diag(1, i) on every qubit:
-    D^-1 RX(2 beta) D = RY(-2 beta), and D commutes with every cost phase.
-    So it is the RY(-2 beta) evolution of (-i)^popcount(x) / sqrt(2^q),
-    times i^popcount(x) at the end (``_FRAME``); both factors are powers
-    of i, so those multiplies are exact.
+    From 13 qubits, where a block's GEMMs pass ``_GEMM_MACS`` in all, each
+    layer is written over the rows chunk by chunk (``_layer_in_place``):
+    the blocks within chunks of 4096 amplitudes one chunk at a time, each
+    chunk phased first, and each block above by slices of its axis or by
+    columns.  No step then makes an array of a state's size.  Such
+    arrays, one per step, were mapped and faulted in anew at some calls
+    and not at others, by the heap's state: in a 20 s pentagon benchmark
+    run 36% of the 16-qubit states did so and took 43% longer.
+
+    RY's blocks are real.  An RX evolution with upper blocks (from 5
+    qubits) and at least one layer runs in the frame D = diag(1, i) on
+    every qubit: D^-1 RX(2 beta) D = RY(-2 beta), and D commutes with every
+    cost phase.  So it is the RY(-2 beta) evolution of (-i)^popcount(x) /
+    sqrt(2^q), times i^popcount(x) at the end (``_multiply_frame``); both
+    factors are powers of i, so those multiplies are exact.
     """
     q = h.num_qubits
     dim, rows = 1 << q, len(gammas)
     scales = (-1j * gammas).T[:, :, None]
     levels, inverse = h.shifted_levels()
     state = np.full((rows, dim), 1.0 / math.sqrt(dim), dtype=complex)
-    if lockstep_rows(q) == 1:
-        for scale, beta in zip(scales, betas[0].tolist()):
-            state = state * np.exp(scale * levels).take(inverse, axis=1)
-            mat = _rotation(mixer, 2.0 * beta)
-            for k in range(1, q + 1):
-                _apply_1q(state[0], mat, k, mixer == "RX")
-        return state
     sizes = _block_sizes(q)
-    phases = np.exp(scales * levels).take(inverse, axis=2)
-    if not sizes:  # no qubit to mix: each layer is its phase alone
-        for phase in phases:
-            state = state * phase
-        return state
-    framed = mixer == "RX" and len(sizes) > 1 and len(phases) > 0
+    framed = mixer == "RX" and len(sizes) > 1 and len(scales) > 0
     if framed:
-        state *= _FRAME[:dim].conj()
+        _multiply_frame(state, q, conj=True)
     kind, angles = ("RY", -betas) if framed else (mixer, betas)
     tables = _real_block_tables(kind, angles, sizes)
-    low, width = tables[sizes[0]], 2 << sizes[0]
+    low = tables[sizes[0]] if sizes else None
     uppers = {
         b: np.ascontiguousarray(tables[b][..., ::2, ::2].swapaxes(-1, -2))[:, :, None]
         for b in set(sizes[1:])
     }
-    for layer, phase in enumerate(phases):
-        x = (state * phase).view(float).reshape(rows, -1, width) @ low[layer]
-        below = width
+    # a block of b qubits takes GEMMs of 4 dim 2^b multiply-adds in all:
+    # up to 12 qubits each block is one call into fresh arrays
+    in_place = dim << (2 + max(sizes, default=0)) > _GEMM_MACS
+    per_gather = max(1, _PHASE_AMPLITUDES // state.size)
+    for layer in range(len(scales)):
+        if in_place:
+            # the level phases go unnamed, so that no layer holds the last
+            layer_uppers = {b: u[layer] for b, u in uppers.items()}
+            _layer_in_place(
+                state, np.exp(scales[layer] * levels), inverse, sizes, low[layer], layer_uppers
+            )
+            continue
+        if layer % per_gather == 0:
+            phases = None  # dropped first, so that one gather is held at a time
+            phases = np.exp(scales[layer : layer + per_gather] * levels).take(inverse, axis=2)
+        # each step rebinds ``state``, so that only its input and its output
+        # are held
+        state = state * phases[layer % per_gather]
+        if not sizes:  # no qubit to mix: each layer is its phase alone
+            continue
+        width = 2 << sizes[0]
+        state = np.matmul(state.view(float).reshape(rows, -1, width), low[layer])
         for b in sizes[1:]:
-            x = np.matmul(uppers[b][layer], x.reshape(rows, -1, 1 << b, below))
-            below <<= b
-        state = x.reshape(rows, -1).view(complex)
+            state = np.matmul(uppers[b][layer], state.reshape(rows, -1, 1 << b, width))
+            width <<= b
+        state = state.reshape(rows, -1).view(complex)
     if framed:
-        state *= _FRAME[:dim]
+        _multiply_frame(state, q)
     return state
 
 
@@ -758,15 +917,15 @@ def _draw_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, uniforms, side="right")
 
 
-def _counts(outcomes: np.ndarray, q: int) -> dict[str, int]:
-    """Bitstring counts of outcome indices, keyed in order of first
-    occurrence; only distinct outcomes are turned into strings.  Keys are
-    interned, so every distribution held for one register shares one
-    string per outcome."""
-    values, first, counts = np.unique(outcomes, return_index=True, return_counts=True)
+def _distribution(outcomes: np.ndarray, q: int) -> Distribution:
+    """The distinct outcome indices of the shots and their tallies, in
+    order of first occurrence."""
+    values, first, tallies = np.unique(outcomes, return_index=True, return_counts=True)
     order = np.argsort(first)
-    keys = map(sys.intern, _bit_strings(values[order], q))
-    return dict(zip(keys, counts[order].tolist()))
+    # 32 bits hold any index up to the qubit cap and any tally up to SHOT_CAP
+    return Distribution(
+        values[order].astype(np.int32), tallies[order].astype(np.int32), q, len(outcomes)
+    )
 
 
 def sample(s: Statevector, shots: int, seed: int) -> Distribution:
@@ -775,7 +934,7 @@ def sample(s: Statevector, shots: int, seed: int) -> Distribution:
     if s.amplitudes.ndim != 1:
         raise DimensionMismatch("sample draws from one state, not a batch")
     outcomes = _draw_outcomes(s.probabilities(), _substream(seed, 1).random(shots))
-    return Distribution(_counts(outcomes, s.num_qubits), shots)
+    return _distribution(outcomes, s.num_qubits)
 
 
 def simulate_noisy(
@@ -800,7 +959,7 @@ def simulate_noisy(
         masks = (flips * (1 << np.arange(q, dtype=np.int64))).sum(axis=1)
         outcomes = outcomes ^ masks
 
-    return Distribution(_counts(outcomes, q), shots)
+    return _distribution(outcomes, q)
 
 
 def _pauli_events(c: ParamCircuit, nm: NoiseModel, seed, shots: int):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -59,15 +60,21 @@ class DiagonalHamiltonian:
     )
 
     def __post_init__(self):
-        """Refuse a negative qubit count, a mask outside 0 .. 2^q - 1 (its
-        high bits would name no qubit) and a non-finite coefficient or
-        constant."""
+        """Refuse a qubit count or a mask that is no integer (a bool
+        included), a negative qubit count, a mask outside 0 .. 2^q - 1
+        (its high bits would name no qubit) and a non-finite coefficient
+        or constant."""
         q = self.num_qubits
-        if q < 0:
-            raise ValueError(f"num_qubits must be >= 0, got {q}")
+        if isinstance(q, bool) or not isinstance(q, Integral) or q < 0:
+            raise ValueError(f"num_qubits must be an integer >= 0, got {q!r}")
         if not math.isfinite(self.constant):
             raise ValueError(f"constant must be finite, got {self.constant!r}")
         for mask, c in self.terms:
+            # type() first: an ABC check per term would cost 6x the rest
+            if type(mask) is not int and (
+                isinstance(mask, bool) or not isinstance(mask, Integral)
+            ):
+                raise ValueError(f"term mask must be an integer, got {mask!r}")
             if not 0 <= mask < 1 << q:
                 raise ValueError(f"term mask {mask:#b} is outside 0 .. 2^{q} - 1")
             if not math.isfinite(c):

@@ -12,6 +12,7 @@ from hamqaoa import (
     build_ansatz,
     simulate,
 )
+from hamqaoa import circuit as circuit_module
 from hamqaoa.circuit import LAYER_CAP
 from hamqaoa.errors import ArityMismatch, EmptyModel
 
@@ -65,6 +66,21 @@ def test_empty_model_rejected():
 def test_negative_layer_count_rejected(triangle_model):
     with pytest.raises(ValueError, match="layer count"):
         build_ansatz(triangle_model, -1)
+
+
+@pytest.mark.parametrize("p", [True, False, 1.5, 2.0, "2", None])
+def test_layer_count_that_is_no_integer_is_refused(p, triangle_model, monkeypatch):
+    # refused before any gate is built; numpy integers are integers
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built a gate")
+
+    monkeypatch.setattr(circuit_module, "Gate", must_not_run)
+    with pytest.raises(ValueError, match="layer count must be an integer"):
+        build_ansatz(triangle_model, p)
+
+
+def test_layer_count_may_be_a_numpy_integer(triangle_model):
+    assert build_ansatz(triangle_model, np.int64(2)) == build_ansatz(triangle_model, 2)
 
 
 def test_layer_count_capped():

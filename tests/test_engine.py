@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from hamqaoa import (
     assemble,
     bind,
     build_ansatz,
+    energy_of,
     expectation,
     make_graph,
     qaoa_solve,
@@ -228,13 +230,9 @@ def random_hamiltonian(rng, q):
 
 
 def assert_matches_the_oracle(state, h, gammas, betas, mixer):
-    # mixer blocks (q <= 9) round differently from the per-qubit oracle;
-    # lone rows (q >= 10) keep its bytes
+    # mixer blocks round differently from the per-qubit oracle
     single = single_qaoa_state(h, gammas, betas, mixer).amplitudes
-    if engine.lockstep_rows(h.num_qubits) > 1:
-        assert np.max(np.abs(state - single), initial=0.0) <= 1e-12
-    else:
-        assert state.tobytes() == single.tobytes()
+    assert np.max(np.abs(state - single), initial=0.0) <= 1e-12
 
 
 def assert_batches_match_the_oracle(h, rng):
@@ -258,8 +256,8 @@ def assert_batches_match_the_oracle(h, rng):
 @pytest.mark.parametrize("q", range(15))
 def test_batched_rows_match_the_single_state_oracle(q):
     # every energy of a random model is its own level.  From q = 10 a
-    # batch holds one row, so q = 13 and 14 (whose batches of 2 or 3 would
-    # cross numpy's 256 KiB temporary elision) evolve each row alone
+    # batch holds one row, and from q = 13 the lowest block takes its
+    # rows in chunks of at most _GEMM_MACS multiply-adds
     rng = np.random.default_rng(q)
     assert_batches_match_the_oracle(random_hamiltonian(rng, q), rng)
 
@@ -279,17 +277,75 @@ def test_batched_rows_of_few_level_models_match_the_single_state_oracle(
 
 @pytest.mark.parametrize("mixer", ["RX", "RY"])
 def test_pentagon_lone_columns_match_the_single_state_oracle(mixer):
-    # 16 qubits share 73 levels; a 1 MiB state is past numpy's 256 KiB
-    # temporary elision, which both the engine and the oracle go through
+    # 16 qubits share 73 levels; each lone row takes its lowest block's
+    # rows, and its top block's columns, in chunks of at most _GEMM_MACS
+    # multiply-adds
     pentagon = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     h = DiagonalHamiltonian.from_ising(to_ising(assemble(pentagon), 5))
     assert h.num_qubits == 16 and len(h.shifted_levels()[0]) == 73
     rng = np.random.default_rng(16)
     for p in (1, 2, 4):
-        gammas, betas = rng.uniform(-7, 7, p), rng.uniform(-7, 7, p)
-        single = single_qaoa_state(h, gammas, betas, mixer)
-        fast = qaoa_state(h, gammas, betas, mixer)
-        assert fast.amplitudes.tobytes() == single.amplitudes.tobytes()
+        gammas, betas = rng.uniform(-7, 7, (2, p)), rng.uniform(-7, 7, (2, p))
+        batch = qaoa_state(h, gammas, betas, mixer).amplitudes
+        for r in range(2):
+            alone = qaoa_state(h, gammas[r], betas[r], mixer).amplitudes
+            assert batch[r].tobytes() == alone.tobytes()
+            assert_matches_the_oracle(alone, h, gammas[r], betas[r], mixer)
+
+
+@pytest.mark.parametrize("q", [12, 13, 15, 16])
+def test_gemms_stay_within_one_blas_thread(monkeypatch, q):
+    # from 13 qubits a layer goes in calls of at most _GEMM_MACS
+    # multiply-adds, their stacked GEMMs together, which also bounds each
+    # call's scratch: the blocks within 4096-amplitude chunks by chunk, and
+    # each block above by slices of its axis or, past the bound, by columns
+    h = random_hamiltonian(np.random.default_rng(q), q)
+    gammas, betas = np.linspace(-2, 2, 3), np.linspace(3, -1, 3)
+    expected = qaoa_state(h, gammas, betas, "RX").amplitudes
+    gemms = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        stacked = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        gemms.append(math.prod(stacked) * a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    assert qaoa_state(h, gammas, betas, "RX").amplitudes.tobytes() == expected.tobytes()
+    assert max(gemms) <= engine._GEMM_MACS
+    # each of 3 layers takes every block as one call up to 12 qubits
+    assert (len(gemms) > 3 * len(engine._block_sizes(q))) == (q > 12)
+
+
+def test_a_16_qubit_state_holds_one_layer_phase_at_a_time():
+    # eight 1 MiB layer phases gathered at once would take 8 MiB
+    h = random_hamiltonian(np.random.default_rng(16), 16)
+    gammas, betas = np.linspace(-2, 2, 8), np.linspace(3, -1, 8)
+    qaoa_state(h, gammas, betas, "RX")
+    tracemalloc.start()
+    try:
+        qaoa_state(h, gammas, betas, "RX")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_a_pentagon_state_makes_no_second_array_of_its_size():
+    # each layer is written over the 1 MiB state chunk by chunk, its phase
+    # gathered from 73 levels per chunk: no state-sized phase, nor a fresh
+    # state per block
+    pentagon = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    h = DiagonalHamiltonian.from_ising(to_ising(assemble(pentagon), 5))
+    gammas, betas = np.linspace(-2, 2, 4), np.linspace(3, -1, 4)
+    qaoa_state(h, gammas, betas, "RX")
+    tracemalloc.start()
+    try:
+        qaoa_state(h, gammas, betas, "RX")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20) + (1 << 18)
 
 
 def test_single_rows_match_the_single_state_oracle(square_fixture_model):
@@ -407,10 +463,28 @@ def test_rx_blocks_are_ry_blocks_in_the_powers_of_i_frame(b):
     # with F = i^popcount(x) and D = diag(F): D^-1 RX(2 beta) D = RY(-2
     # beta) on every qubit, the frame of the lockstep's RX evolution
     frame = np.array([1j ** bin(x).count("1") for x in range(1 << b)])
-    assert engine._FRAME[: 1 << b].tolist() == frame.tolist()
+    ones = np.ones((2, 1 << b), dtype=complex)
+    engine._multiply_frame(ones, b)
+    assert ones.tolist() == [frame.tolist()] * 2
     for beta in (0.0, math.pi / 2, -math.pi / 2, 0.7, -2.1, 3e-9):
         rx = frame.conj()[:, None] * kronecker_block("RX", beta, b) * frame
         assert np.max(np.abs(rx - kronecker_block("RY", -beta, b))) <= 1e-15
+
+
+@pytest.mark.parametrize("q", range(17))
+def test_frame_takes_the_factors_of_a_full_table(q):
+    # the high and low halves' pieces multiply every amplitude by the same
+    # power of i, signed zeros included, as a table over all 2^q states
+    table = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << q)) % 4]
+    values = np.array([0.0, -0.0, 0.3, -0.7])
+    rng = np.random.default_rng(q)
+    for conj in (False, True):
+        states = values[rng.integers(4, size=(3, 1 << q))] + 1j * values[
+            rng.integers(4, size=(3, 1 << q))
+        ]
+        expected = states * (table.conj() if conj else table)
+        engine._multiply_frame(states, q, conj)
+        assert states.tobytes() == expected.tobytes()
 
 
 def real_forms_by_running_products(mixer, betas, b):
@@ -451,19 +525,23 @@ def test_block_tables_keep_the_bytes_of_running_products(b, mixer):
 
 
 # mixer blocks run as GEMMs through OpenBLAS; their bytes must not depend
-# on its thread count, for batches and lone rows at every blocked width
+# on its thread count, for batches and lone rows at every blocked width,
+# and for lone rows whose GEMMs go in chunks (q = 14 and the pentagon)
 _QAOA_STATES_BY_THREADS = """
 import hashlib
 import numpy as np
 from hamqaoa import DiagonalHamiltonian, qaoa_state
 from hamqaoa.cli import reference_square_model
 from hamqaoa.engine import lockstep_rows
+from hamqaoa import assemble, make_graph, to_ising
 rng = np.random.default_rng(0)
 models = []
-for q in range(10):
+for q in (*range(10), 10, 12, 14):
     terms = tuple((int(rng.integers(1 << q)), float(rng.normal())) for _ in range(2 * q + 1))
     models.append(DiagonalHamiltonian(q, terms, 0.0))
 models.append(DiagonalHamiltonian.from_ising(reference_square_model()))
+pentagon = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+models.append(DiagonalHamiltonian.from_ising(to_ising(assemble(pentagon), 5)))
 for h in models:
     rows = lockstep_rows(h.num_qubits)
     for mixer in ("RX", "RY"):
@@ -608,18 +686,43 @@ def test_sample_deterministic(triangle_model):
     assert sample(s, 5000, seed=9).counts == sample(s, 5000, seed=9).counts
 
 
-def test_samples_share_one_key_per_outcome(square_fixture_model):
-    # the keys of every held distribution are one string per outcome
-    s = qaoa_state(DiagonalHamiltonian.from_ising(square_fixture_model), [0.3], [0.4])
-    a, b = sample(s, 3000, seed=1).counts, sample(s, 3000, seed=2).counts
-    key_of = {k: k for k in b}
-    shared = [k for k in a if k in key_of]
-    assert len(shared) > 100
-    assert all(k is key_of[k] for k in shared)
-    # counts and their order of first occurrence are those of the draws
+def test_sample_counts_are_the_draws_in_first_occurrence_order(square_fixture_model):
+    # a distribution holds outcome indices and tallies; its counts and
+    # their order of first occurrence are those of the draws
+    h = DiagonalHamiltonian.from_ising(square_fixture_model)
+    s = qaoa_state(h, [0.3], [0.4])
+    dist = sample(s, 3000, seed=1)
     outcomes = engine._draw_outcomes(s.probabilities(), engine._substream(1, 1).random(3000))
-    bits = [format(i, "09b")[::-1] for i in outcomes.tolist()]
-    assert list(a.items()) == list(Counter(bits).items())
+    draws = Counter(format(i, "09b")[::-1] for i in outcomes.tolist())
+    assert len(draws) > 100
+    assert list(dist.counts.items()) == list(draws.items())
+    assert list(dist.counts) == list(draws)
+    assert list(dist.counts.values()) == list(draws.values())
+    # the mean energy has the bytes of the per-key sum, in that order
+    per_key = sum(c * energy_of(h, bits) for bits, c in draws.items()) / 3000
+    assert repr(dist.mean_energy(h)) == repr(per_key)
+    # 32 bits hold every index and tally the caps allow
+    assert dist.outcomes.dtype == dist.tallies.dtype == np.int32
+    assert engine.SHOT_CAP < 1 << 31 and hamqaoa.hamiltonian.SIMULATOR_QUBIT_CAP < 31
+
+
+def test_counts_read_as_a_mapping():
+    dist = sample(Statevector(np.array([0, 0, 1, 0], dtype=complex), 2), 40, seed=0)
+    counts = dist.counts
+    assert isinstance(counts, Mapping) and len(counts) == 1
+    assert counts == {"01": 40} and dict(counts) == {"01": 40}
+    assert counts["01"] == 40 and "01" in counts and counts.get("01") == 40
+    for missing in ("00", "10", "0", "011", "0x", "0_1", " 01", 1, None):
+        assert missing not in counts and counts.get(missing) is None
+        with pytest.raises(KeyError):
+            counts[missing]
+    with pytest.raises(TypeError):
+        counts["01"] = 1
+    assert repr(counts) == "_Counts({'01': 40})"
+    assert dist.mass({"01", "00", "0x", "1"}) == 1.0 and dist.mass({"10"}) == 0.0
+    assert dist == sample(Statevector(np.array([0, 0, 1, 0], dtype=complex), 2), 40, seed=1)
+    with pytest.raises(DimensionMismatch, match="distribution has 2 qubits"):
+        dist.mean_energy(DiagonalHamiltonian(3, ()))
 
 
 def test_noiseless_trajectories_equal_sampling(triangle_model):
@@ -1260,9 +1363,19 @@ def test_exchange_symmetric_kernel_matches_general_kernel(q):
 def test_outputs_unchanged_through_general_kernel(
     triangle_model, square_fixture_model, monkeypatch
 ):
-    # from 10 qubits the mixer goes through _apply_1q
-    ring = {(k, k + 1): Fraction(k % 3 + 1) for k in range(1, 10)} | {(1, 10): Fraction(2)}
-    ring10 = IsingModel(10, Fraction(0), {3: Fraction(1)}, ring)
+    # single gates go through _apply_1q: the H row, and RX and RY gates
+    # that make no whole mixer layer, here on 10 qubits
+    rng = np.random.default_rng(10)
+    gates = [Gate("H", (k,)) for k in range(1, 11)]
+    for k in range(1, 11):
+        j = k % 10 + 1
+        gates += [
+            Gate("RX", (k,), float(rng.uniform(-7, 7))),
+            Gate("CNOT", (k, j)),
+            Gate("RY", (j,), float(rng.uniform(-7, 7))),
+            Gate("RZ", (k,), float(rng.uniform(-7, 7))),
+        ]
+    ring = ParamCircuit(10, tuple(gates), 0)
 
     def outputs():
         solves = [
@@ -1271,13 +1384,24 @@ def test_outputs_unchanged_through_general_kernel(
             qaoa_solve(
                 square_fixture_model, 8, "RX", cfg=OptimizerConfig(max_evals=300)
             ).to_json(),
-            qaoa_solve(ring10, 2, "RX", cfg=OptimizerConfig(max_evals=60)).to_json(),
-            qaoa_solve(ring10, 2, "RY", cfg=OptimizerConfig(max_evals=60)).to_json(),
         ]
         c = seeded_circuit(square_fixture_model, 8, "RX", 5)
         counts = simulate_noisy(c, BENCH_NOISE, 100, 9).counts
-        return solves, list(counts.items())
+        ring_counts = simulate_noisy(ring, BENCH_NOISE, 100, 9).counts
+        return (
+            solves,
+            list(counts.items()),
+            simulate(ring).amplitudes.tobytes(),
+            list(ring_counts.items()),
+        )
 
     fast = outputs()
-    monkeypatch.setattr(engine, "_apply_1q", general_apply_1q)
+    exchanges = []
+
+    def general(states, m, k, exchange):
+        exchanges.append(exchange)
+        general_apply_1q(states, m, k, exchange)
+
+    monkeypatch.setattr(engine, "_apply_1q", general)
     assert outputs() == fast
+    assert exchanges.count(True) >= 10 and exchanges.count(False) >= 20

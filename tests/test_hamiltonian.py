@@ -70,7 +70,11 @@ def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):
     "q, terms, constant, match",
     [
         (-1, (), 0.0, "num_qubits"),
+        (True, ((1, 1.0),), 0.0, "num_qubits"),
+        (2.5, (), 0.0, "num_qubits"),
         (2, ((0b100, 1.0),), 0.0, "outside"),
+        (1, ((1.0, 1.0),), 0.0, "mask must be an integer"),
+        (1, ((True, 1.0),), 0.0, "mask must be an integer"),
         (2, ((-1, 1.0),), 0.0, "outside"),
         (2, ((0b1, 1.0),), float("nan"), "constant"),
         (2, ((0b1, 1.0),), float("-inf"), "constant"),
@@ -79,7 +83,11 @@ def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):
     ],
     ids=[
         "negative-qubits",
+        "bool-qubits",
+        "fractional-qubits",
         "mask-past-the-register",
+        "float-mask",
+        "bool-mask",
         "negative-mask",
         "nan-constant",
         "infinite-constant",
@@ -90,6 +98,11 @@ def test_energy_of_refuses_past_the_qubit_cap_without_allocating(monkeypatch):
 def test_hamiltonian_refuses_what_no_register_holds(q, terms, constant, match):
     with pytest.raises(ValueError, match=match):
         DiagonalHamiltonian(q, terms, constant)
+
+
+def test_hamiltonian_takes_numpy_integers():
+    h = DiagonalHamiltonian(np.int64(2), ((np.uint8(0b11), 1.0),))
+    assert h.energies().tolist() == [1.0, -1.0, -1.0, 1.0]
 
 
 def test_level_table_gathers_the_shifted_energies_exactly(square_fixture_model):

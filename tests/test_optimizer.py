@@ -92,6 +92,13 @@ def test_config_refuses_what_is_no_integer(name, value):
         OptimizerConfig(**{name: value})
 
 
+@pytest.mark.parametrize("p", [True, 1.5])
+def test_solve_refuses_a_depth_that_is_no_integer(p, triangle_model):
+    # True ran as p=1 and reported "p": true; 1.5 failed late in range()
+    with pytest.raises(ValueError, match="layer count must be an integer"):
+        qaoa_solve(triangle_model, p, cfg=OptimizerConfig(max_evals=10))
+
+
 def test_config_takes_numpy_integers():
     cfg = OptimizerConfig(max_evals=np.int64(40), restarts=np.int32(2), seed=np.uint8(3))
     plain = OptimizerConfig(max_evals=40, restarts=2, seed=3)
