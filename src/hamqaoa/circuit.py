@@ -80,6 +80,21 @@ def check_mixer(mixer: str) -> str:
     return kind
 
 
+def check_ansatz(m: IsingModel, p: int, mixer: str) -> str:
+    """Gate kind of the mixer of a p-layer ansatz for the model, after
+    refusing what ``build_ansatz`` cannot build: an unknown mixer, a
+    model with no qubits, and a layer count that is a bool, no integer or
+    outside 0..LAYER_CAP."""
+    mixer = check_mixer(mixer)
+    if m.num_qubits < 1:
+        raise EmptyModel("ansatz needs at least one qubit")
+    if isinstance(p, bool) or not isinstance(p, Integral):
+        raise ValueError(f"layer count must be an integer, got {p!r}")
+    if not 0 <= p <= LAYER_CAP:
+        raise ValueError(f"layer count must be in 0..{LAYER_CAP}, got {p}")
+    return mixer
+
+
 def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     """Hadamard row followed by p alternating cost and mixer blocks.
 
@@ -89,13 +104,7 @@ def build_ansatz(m: IsingModel, p: int, mixer: str = "RX") -> ParamCircuit:
     every qubit.
     The constant term only contributes a global phase and is ignored.
     """
-    mixer = check_mixer(mixer)
-    if m.num_qubits < 1:
-        raise EmptyModel("ansatz needs at least one qubit")
-    if isinstance(p, bool) or not isinstance(p, Integral):
-        raise ValueError(f"layer count must be an integer, got {p!r}")
-    if not 0 <= p <= LAYER_CAP:
-        raise ValueError(f"layer count must be in 0..{LAYER_CAP}, got {p}")
+    mixer = check_ansatz(m, p, mixer)
     gates: list[Gate] = [Gate("H", (q,)) for q in range(1, m.num_qubits + 1)]
     terms = [(qubits, 2.0 * float(w)) for qubits, w in m.terms()]
     for layer in range(1, p + 1):

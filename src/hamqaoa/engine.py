@@ -50,6 +50,14 @@ qubit, where its blocks are real.  From 10 qubits a batch holds one row,
 which takes the same blocks; from 13 each layer is written over it chunk
 by chunk, so that no step makes a second state-sized array.
 
+The rows come out of the lockstep still in that frame, each amplitude a
+power of i times the state's.  ``qaoa_state`` takes the frame off;
+``qaoa_expectation``, the exact objective of a solve, scores the rows as
+they are, since |i^k z| equals |z| bit for bit, and builds no
+``Statevector``.  It and ``expectation`` sum each row's probabilities
+against the energies through one helper (``_mean_energies``), so both give
+the same bytes.
+
 A ``Distribution`` holds outcome indices and their tallies as arrays;
 bit strings are made only when its ``counts`` are read.
 
@@ -104,7 +112,7 @@ _BATCH_AMPLITUDES = 1 << 16
 LOCKSTEP_AMPLITUDES = 3 << 9
 
 
-# Entries per dot product in ``expectation``: OpenBLAS splits longer ones
+# Entries per dot product in ``_mean_energies``: OpenBLAS splits longer ones
 # (past 10,000 entries) across threads, which reorders their sums.
 _DOT_CHUNK = 1 << 13
 
@@ -147,6 +155,14 @@ class Statevector:
 
     amplitudes: np.ndarray
     num_qubits: int
+
+    def __post_init__(self):
+        shape = np.shape(self.amplitudes)
+        if len(shape) not in (1, 2) or shape[-1] != 2**self.num_qubits:
+            raise DimensionMismatch(
+                f"amplitudes of shape {shape} are no state or batch of states "
+                f"on {self.num_qubits} qubits"
+            )
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -598,14 +614,33 @@ def simulate(c: ParamCircuit) -> Statevector:
     return Statevector(_evolve(_ground(q), _segments(c.gates, q), c.gates)[0], q)
 
 
+def _angle_rows(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> tuple:
+    """The mixer's gate kind and the angles as (B, p) float rows, and
+    whether one row of shape (p,) was given; refuses an unknown mixer, a
+    register past the cap, angles of other shapes and non-finite angles."""
+    mixer = check_mixer(mixer)
+    check_qubits(h.num_qubits)
+    gammas, betas = np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)
+    if gammas.shape != betas.shape or gammas.ndim not in (1, 2):
+        raise ValueError(
+            f"gammas {gammas.shape} and betas {betas.shape} must both be (p,) or (B, p)"
+        )
+    # faster than np.isfinite on the few angles of an objective call
+    if not all(map(math.isfinite, gammas.ravel().tolist() + betas.ravel().tolist())):
+        raise ValueError("gammas and betas must be finite")
+    if gammas.ndim == 1:
+        return mixer, gammas[None], betas[None], True
+    return mixer, gammas, betas, False
+
+
 def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Statevector:
     """Fast QAOA evolution using the diagonality of the cost Hamiltonian.
 
     Each cost layer is a single elementwise phase; each mixer layer is a
     few Kronecker blocks (from 5 qubits, RX's as real blocks in the frame
-    of ``_evolve_lockstep``).  Matches gate-by-gate simulation of the
-    built ansatz to rounding (the constant term is excluded, as the gate
-    list also drops it).
+    of ``_evolve_lockstep``, which this function removes).  Matches
+    gate-by-gate simulation of the built ansatz to rounding (the constant
+    term is excluded, as the gate list also drops it).
 
     ``gammas`` and ``betas`` of shape (p,) give one state; of shape (B, p),
     one state per row, returned as the rows of (B, 2^q) amplitudes, each
@@ -613,26 +648,40 @@ def qaoa_state(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX") -> Stat
     routine, ``lockstep_rows(q)`` at a time as the rows of one array.
     Non-finite angles are refused before any work.
     """
-    mixer = check_mixer(mixer)
+    mixer, gammas, betas, one = _angle_rows(h, gammas, betas, mixer)
     q = h.num_qubits
-    check_qubits(q)
-    gammas, betas = np.asarray(gammas, dtype=float), np.asarray(betas, dtype=float)
-    if gammas.shape != betas.shape or gammas.ndim not in (1, 2):
-        raise ValueError(
-            f"gammas {gammas.shape} and betas {betas.shape} must both be (p,) or (B, p)"
-        )
-    if not all(map(math.isfinite, gammas.ravel().tolist() + betas.ravel().tolist())):
-        raise ValueError("gammas and betas must be finite")
-    if gammas.ndim == 1:
-        return Statevector(_evolve_lockstep(h, gammas[None], betas[None], mixer)[0], q)
     per_batch = lockstep_rows(q)
     if 0 < len(gammas) <= per_batch:
-        return Statevector(_evolve_lockstep(h, gammas, betas, mixer), q)
-    out = np.empty((len(gammas), 1 << q), dtype=complex)
-    for lo in range(0, len(out), per_batch):
+        out = _evolve_lockstep(h, gammas, betas, mixer)
+    else:
+        out = np.empty((len(gammas), 1 << q), dtype=complex)
+        for lo in range(0, len(out), per_batch):
+            rows = slice(lo, lo + per_batch)
+            out[rows] = _evolve_lockstep(h, gammas[rows], betas[rows], mixer)
+    if _framed(mixer, q, gammas.shape[1]):
+        _multiply_frame(out, q)
+    return Statevector(out[0] if one else out, q)
+
+
+def qaoa_expectation(h: DiagonalHamiltonian, gammas, betas, mixer: str = "RX"):
+    """<H> of the QAOA state of each angle row, with the bytes of
+    ``expectation(qaoa_state(h, gammas, betas, mixer), h)``: a float for
+    angles of shape (p,), an array of one value per row for (B, p).
+
+    The rows go through ``_evolve_lockstep`` ``lockstep_rows(q)`` at a
+    time and are scored as they come out, still in its RX frame: each
+    amplitude there is a power of i times the amplitude of the state, and
+    |i^k z| equals |z| bit for bit.  No ``Statevector`` is built.
+    """
+    mixer, gammas, betas, one = _angle_rows(h, gammas, betas, mixer)
+    energies = h.energies()
+    per_batch = lockstep_rows(h.num_qubits)
+    values = []
+    for lo in range(0, len(gammas), per_batch):
         rows = slice(lo, lo + per_batch)
-        out[rows] = _evolve_lockstep(h, gammas[rows], betas[rows], mixer)
-    return Statevector(out, q)
+        states = _evolve_lockstep(h, gammas[rows], betas[rows], mixer)
+        values += _mean_energies(np.abs(states) ** 2, energies)
+    return values[0] if one else np.array(values)
 
 
 def _block_indices(b: int) -> dict:
@@ -670,6 +719,7 @@ _ENTRY_FACTORS = {
 }
 
 
+@functools.cache
 def _block_sizes(q: int) -> tuple:
     """Qubits per mixer block, lowest block first: the fewest blocks of at
     most ``_BLOCK_QUBITS`` qubits, as equal as possible."""
@@ -743,15 +793,37 @@ def _frame_tables(q: int) -> tuple:
     return (np.bitwise_count(np.arange(1 << (q - lo))) % 4).tolist(), *tables
 
 
-def _multiply_frame(states, q: int, conj: bool = False) -> None:
-    """Multiply every (B, 2^q) row by i^popcount(x), or by its conjugate,
-    in place: each amplitude takes the same factor as from one table over
-    all 2^q states, one row of ``_frame_tables`` at a time."""
-    ks, rows, conj_rows = _frame_tables(q)
-    table = conj_rows if conj else rows
-    view = states.reshape(len(states), len(ks), -1)
+def _multiply_frame(states, q: int) -> None:
+    """Multiply every (B, 2^q) row by i^popcount(x), in place: each
+    amplitude takes the same factor as from one table over all 2^q
+    states, one row of ``_frame_tables`` at a time."""
+    ks, rows, _ = _frame_tables(q)
+    view = states.reshape(len(states), len(ks), rows.shape[1])
     for high, k in enumerate(ks):
-        view[:, high] *= table[k]
+        view[:, high] *= rows[k]
+
+
+def _framed(mixer: str, q: int, p: int) -> bool:
+    """Whether ``_evolve_lockstep`` runs, and returns, the states in the RX
+    frame: RX with upper blocks (from 5 qubits) and at least one layer."""
+    return mixer == "RX" and q > _BLOCK_QUBITS and p > 0
+
+
+def _start(rows: int, q: int, framed: bool) -> np.ndarray:
+    """The (rows, 2^q) uniform superposition 1/sqrt(2^q) as C-ordered
+    complex rows, or in the RX frame (-i)^popcount(x)/sqrt(2^q), written
+    from the conjugate rows of ``_frame_tables`` in one pass: each entry
+    has the bytes of the uniform entry times its conjugate factor."""
+    amplitude = 1.0 / math.sqrt(1 << q)
+    state = np.empty((rows, 1 << q), dtype=complex)
+    if not framed:
+        state.fill(amplitude)  # np.full's bytes, without its Python wrapper
+        return state
+    ks, _, conj_rows = _frame_tables(q)
+    view = state.reshape(rows, len(ks), conj_rows.shape[1])
+    for high, k in enumerate(ks):
+        np.multiply(amplitude, conj_rows[k], out=view[:, high])
+    return state
 
 
 # Qubits of one chunk of a layer written in place (``_layer_in_place``):
@@ -802,7 +874,8 @@ def _layer_in_place(state, phase, inverse, sizes, low, uppers) -> None:
 
 def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.ndarray:
     """The states of the (B, p) angle rows as the rows of one C-ordered
-    (B, 2^q) array, each with the bytes of its row evolved alone.
+    (B, 2^q) array, each with the bytes of its row evolved alone, in the
+    RX frame where ``_framed`` says so.
 
     Each cost layer takes one ``exp`` per distinct energy level and row
     (``shifted_levels()``), gathered into place: every entry is the same
@@ -837,20 +910,21 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
 
     RY's blocks are real.  An RX evolution with upper blocks (from 5
     qubits) and at least one layer runs in the frame D = diag(1, i) on
-    every qubit: D^-1 RX(2 beta) D = RY(-2 beta), and D commutes with every
-    cost phase.  So it is the RY(-2 beta) evolution of (-i)^popcount(x) /
-    sqrt(2^q), times i^popcount(x) at the end (``_multiply_frame``); both
-    factors are powers of i, so those multiplies are exact.
+    every qubit (``_framed``): D^-1 RX(2 beta) D = RY(-2 beta), and D
+    commutes with every cost phase.  So it is the RY(-2 beta) evolution of
+    (-i)^popcount(x) / sqrt(2^q), written in one pass (``_start``), and
+    the rows are returned still in that frame: ``qaoa_state`` multiplies
+    them by i^popcount(x) (``_multiply_frame``), and ``qaoa_expectation``,
+    which reads only their moduli, does not.  Both factors are powers of
+    i, so those multiplies are exact.
     """
     q = h.num_qubits
     dim, rows = 1 << q, len(gammas)
     scales = (-1j * gammas).T[:, :, None]
     levels, inverse = h.shifted_levels()
-    state = np.full((rows, dim), 1.0 / math.sqrt(dim), dtype=complex)
+    framed = _framed(mixer, q, len(scales))
+    state = _start(rows, q, framed)
     sizes = _block_sizes(q)
-    framed = mixer == "RX" and len(sizes) > 1 and len(scales) > 0
-    if framed:
-        _multiply_frame(state, q, conj=True)
     kind, angles = ("RY", -betas) if framed else (mixer, betas)
     tables = _real_block_tables(kind, angles, sizes)
     low = tables[sizes[0]] if sizes else None
@@ -884,25 +958,32 @@ def _evolve_lockstep(h: DiagonalHamiltonian, gammas, betas, mixer: str) -> np.nd
             state = np.matmul(uppers[b][layer], state.reshape(rows, -1, 1 << b, width))
             width <<= b
         state = state.reshape(rows, -1).view(complex)
-    if framed:
-        _multiply_frame(state, q)
     return state
 
 
 def expectation(s: Statevector, h: DiagonalHamiltonian):
     """<psi| H |psi> for a diagonal H; for a batch of states (amplitudes
-    of shape (B, 2^q)), an array of one value per row.  Dot products of
-    ``_DOT_CHUNK`` entries, added in order, keep it free of BLAS threads."""
+    of shape (B, 2^q)), an array of one value per row, each summed by
+    ``_mean_energies`` as ``qaoa_expectation`` sums it."""
     if h.num_qubits != s.num_qubits:
         raise DimensionMismatch(f"state has {s.num_qubits} qubits, operator {h.num_qubits}")
     probs, energies = s.probabilities(), h.energies()
+    values = _mean_energies(probs.reshape(-1, len(energies)), energies)
+    return np.array(values) if probs.ndim == 2 else values[0]
+
+
+def _mean_energies(probs, energies) -> list:
+    """Each (B, 2^q) row of probabilities times the energies, summed as a
+    float: dot products of ``_DOT_CHUNK`` entries, added in order, keep it
+    free of BLAS threads."""
+    head, tail = energies[:_DOT_CHUNK], range(_DOT_CHUNK, len(energies), _DOT_CHUNK)
     values = []
-    for row in probs.reshape(-1, len(energies)):
-        value = np.dot(row[:_DOT_CHUNK], energies[:_DOT_CHUNK])
-        for lo in range(_DOT_CHUNK, len(energies), _DOT_CHUNK):
+    for row in probs:
+        value = np.dot(row[:_DOT_CHUNK], head)
+        for lo in tail:
             value += np.dot(row[lo : lo + _DOT_CHUNK], energies[lo : lo + _DOT_CHUNK])
         values.append(float(value))
-    return np.array(values) if probs.ndim == 2 else values[0]
+    return values
 
 
 def _substream(seed, tag: int) -> np.random.Generator:

@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .circuit import bind, build_ansatz
+from .circuit import bind, build_ansatz, check_ansatz
 from .engine import (
     DEFAULT_SHOTS,
     Distribution,
@@ -28,6 +28,7 @@ from .engine import (
     expectation,
     lockstep_rows,
     noise_record,
+    qaoa_expectation,
     qaoa_state,
     sample,
     simulate_noisy,
@@ -81,7 +82,9 @@ def _nelder_mead(x0):
         values.append((yield x))
 
     while True:
-        order = np.argsort(values).tolist()
+        # np.argsort's kernel and tie order, without its dispatch on a
+        # list; a stable sort would order tied values otherwise
+        order = np.array(values).argsort().tolist()
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         # the value test first: it is cheaper and rarely passes
@@ -264,11 +267,12 @@ def qaoa_solve(
     cfg = cfg or OptimizerConfig()
     check_shots(shots)
     check_qubits(m.num_qubits)
-    circuit = build_ansatz(m, p, mixer)
-    mixer = circuit.mixer_kind
+    mixer = check_ansatz(m, p, mixer)
     h = DiagonalHamiltonian.from_ising(m)
     spec = full_spectrum(h, SIMULATOR_QUBIT_CAP)
     noisy = nm is not None and not nm.is_trivial
+    # only the trajectories run the gates
+    circuit = build_ansatz(m, p, mixer) if noisy else None
     if manifest is None:
         manifest = {}
 
@@ -284,7 +288,7 @@ def qaoa_solve(
     def objective(params):
         if noisy or sampled_objective:
             return measure(params, (cfg.seed, next(eval_index))).mean_energy(h)
-        return expectation(qaoa_state(h, params[..., :p], params[..., p:], mixer), h)
+        return qaoa_expectation(h, params[..., :p], params[..., p:], mixer)
 
     # The exact objective is pure, so restarts may share its calls, one row
     # of angles each, as many as fit one lockstep batch; the sampled ones

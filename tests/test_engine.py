@@ -23,6 +23,7 @@ from hamqaoa import (
     build_ansatz,
     energy_of,
     expectation,
+    full_spectrum,
     make_graph,
     qaoa_solve,
     qaoa_state,
@@ -33,6 +34,7 @@ from hamqaoa import (
 )
 from hamqaoa import engine
 from hamqaoa.circuit import Gate, ParamCircuit
+from hamqaoa.cli import reference_square_model
 from hamqaoa.errors import DimensionMismatch, TooManyQubits, UnboundParameter
 from hamqaoa.qubo import IsingModel
 from oracles import (
@@ -478,13 +480,17 @@ def test_frame_takes_the_factors_of_a_full_table(q):
     table = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << q)) % 4]
     values = np.array([0.0, -0.0, 0.3, -0.7])
     rng = np.random.default_rng(q)
-    for conj in (False, True):
-        states = values[rng.integers(4, size=(3, 1 << q))] + 1j * values[
-            rng.integers(4, size=(3, 1 << q))
-        ]
-        expected = states * (table.conj() if conj else table)
-        engine._multiply_frame(states, q, conj)
-        assert states.tobytes() == expected.tobytes()
+    states = values[rng.integers(4, size=(3, 1 << q))] + 1j * values[
+        rng.integers(4, size=(3, 1 << q))
+    ]
+    expected = states * table
+    engine._multiply_frame(states, q)
+    assert states.tobytes() == expected.tobytes()
+    # the framed start, written in one pass, has the bytes of the uniform
+    # rows times the conjugate table
+    uniform = np.full((3, 1 << q), 1.0 / math.sqrt(1 << q), dtype=complex)
+    assert engine._start(3, q, True).tobytes() == (uniform * table.conj()).tobytes()
+    assert engine._start(3, q, False).tobytes() == uniform.tobytes()
 
 
 def real_forms_by_running_products(mixer, betas, b):
@@ -575,9 +581,12 @@ def test_batched_angles_must_share_one_shape(triangle_model):
         qaoa_state(h, [0.1, 0.2], [0.3])
 
 
-def test_empty_and_zero_layer_batches(triangle_model):
+def test_empty_and_zero_layer_batches(triangle_model, square_fixture_model):
     h = DiagonalHamiltonian.from_ising(triangle_model)
     assert qaoa_state(h, np.zeros((0, 2)), np.zeros((0, 2))).amplitudes.shape == (0, 16)
+    # the square's RX rows take the frame off after the lockstep
+    square = DiagonalHamiltonian.from_ising(square_fixture_model)
+    assert qaoa_state(square, np.zeros((0, 2)), np.zeros((0, 2))).amplitudes.shape == (0, 512)
     batch = qaoa_state(h, np.zeros((3, 0)), np.zeros((3, 0)))
     single = qaoa_state(h, [], [])
     assert all(row.tobytes() == single.amplitudes.tobytes() for row in batch.amplitudes)
@@ -594,6 +603,116 @@ def test_zero_layer_rows_keep_the_bytes_of_the_uniform_state(q, mixer):
     batch = qaoa_state(h, np.zeros((3, 0)), np.zeros((3, 0)), mixer).amplitudes
     assert alone.tobytes() == uniform.tobytes()
     assert all(row.tobytes() == uniform.tobytes() for row in batch)
+
+
+def random_local_hamiltonian(rng, q):
+    # the compiler's shape: a constant, fields and couplings
+    masks = [1 << u for u in range(q)] + [(1 << u) | (1 << v) for u in range(q) for v in range(u)]
+    picked = rng.permutation(masks)[: 3 * q].tolist()
+    return DiagonalHamiltonian(q, tuple((m, float(rng.normal())) for m in picked), 0.25)
+
+
+def expectation_models():
+    rng = np.random.default_rng(27)
+    models = {f"q{q}": random_local_hamiltonian(rng, q) for q in range(17)}
+    triangle = make_graph(3, [(1, 2), (2, 3), (1, 3)])
+    pentagon = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    models["triangle"] = to_ising(assemble(triangle), 3)
+    models["square"] = reference_square_model()
+    models["pentagon"] = to_ising(assemble(pentagon), 5)
+    for name in ("triangle", "square", "pentagon"):
+        models[name] = DiagonalHamiltonian.from_ising(models[name])
+    return models
+
+
+_EXPECTATION_MODELS = expectation_models()
+
+
+@pytest.mark.parametrize("name", list(_EXPECTATION_MODELS))
+def test_qaoa_expectation_keeps_the_bytes_of_expectation(name):
+    # the rows are scored in the lockstep's RX frame, where each amplitude
+    # is a power of i times the state's, so every |amplitude|^2 and sum
+    # must keep its bytes: lone rows, batches one row past a lockstep
+    # batch, and zero and signed-zero betas among them
+    h = _EXPECTATION_MODELS[name]
+    rng = np.random.default_rng(h.num_qubits)
+    rows = engine.lockstep_rows(h.num_qubits) + 1
+    for mixer in ("RX", "RY"):
+        for p in (1, 2, 4, 8):
+            gammas, betas = rng.uniform(-7, 7, (2, rows, p))
+            betas[0, 0], betas[-1, -1] = 0.0, -0.0
+            value = engine.qaoa_expectation(h, gammas[0], betas[0], mixer)
+            assert type(value) is float
+            assert repr(value) == repr(expectation(qaoa_state(h, gammas[0], betas[0], mixer), h))
+            values = engine.qaoa_expectation(h, gammas, betas, mixer)
+            expected = expectation(qaoa_state(h, gammas, betas, mixer), h)
+            assert values.shape == (rows,)
+            assert values.tobytes() == expected.tobytes()
+
+
+def test_qaoa_expectation_of_no_rows_and_no_layers(triangle_model):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+    assert engine.qaoa_expectation(h, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+    square = DiagonalHamiltonian.from_ising(reference_square_model())
+    assert engine.qaoa_expectation(square, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+    mean = full_spectrum(h).mean_energy()
+    assert engine.qaoa_expectation(h, [], []) == pytest.approx(mean, abs=1e-12)
+    zero_layers = engine.qaoa_expectation(h, np.zeros((3, 0)), np.zeros((3, 0)))
+    assert zero_layers.tolist() == [expectation(qaoa_state(h, [], []), h)] * 3
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_qaoa_expectation_refuses_what_qaoa_state_refuses(angle, triangle_model, monkeypatch):
+    h = DiagonalHamiltonian.from_ising(triangle_model)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work began before the check")
+
+    monkeypatch.setattr(DiagonalHamiltonian, "shifted_levels", must_not_run)
+    monkeypatch.setattr(DiagonalHamiltonian, "energies", must_not_run)
+    monkeypatch.setattr(np, "exp", must_not_run)
+    rows = np.array([[0.3, 0.1], [0.5, 0.2], [0.7, 0.4]])
+    for family in (0, 1):  # gammas, then betas
+        single, batch = [rows[0].copy(), rows[0].copy()], [rows.copy(), rows.copy()]
+        single[family][1] = angle
+        batch[family][1, 0] = angle
+        for gammas, betas in (single, batch):
+            with pytest.raises(ValueError, match="gammas and betas must be finite"):
+                engine.qaoa_expectation(h, gammas, betas)
+    with pytest.raises(ValueError, match="must both be"):
+        engine.qaoa_expectation(h, np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"\(2,\) and betas \(1,\) must both be"):
+        engine.qaoa_expectation(h, [0.1, 0.2], [0.3])
+    with pytest.raises(ValueError, match="must both be"):
+        engine.qaoa_expectation(h, np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
+    with pytest.raises(ValueError, match="mixer must be RX or RY"):
+        engine.qaoa_expectation(h, [0.1], [0.2], "RZ")
+
+
+@pytest.mark.parametrize(
+    "amplitudes, q",
+    [
+        (np.full(16, 0.25), 3),
+        (np.full(4, 0.5), 3),
+        (np.full((2, 8), 0.5), 2),
+        (np.full((2, 2, 4), 0.5), 2),
+        (np.array(1.0), 0),
+        (np.ones(1), -1),
+    ],
+    ids=["16-on-3", "4-on-3", "batch-8-on-2", "3-d", "0-d", "negative-qubits"],
+)
+def test_statevector_refuses_amplitudes_of_another_register(amplitudes, q):
+    # before, sample drew indices past 2^q and labelled them with q-bit
+    # strings, and expectation failed inside numpy's reshape
+    with pytest.raises(DimensionMismatch, match="no state or batch of states"):
+        Statevector(amplitudes, q)
+
+
+def test_statevector_takes_states_and_batches_of_its_register():
+    assert Statevector(np.ones(1), 0).probabilities().tolist() == [1.0]
+    assert Statevector(np.full(8, 0.5), 3).amplitudes.shape == (8,)
+    assert Statevector(np.full((2, 8), 0.5), 3).amplitudes.shape == (2, 8)
+    assert Statevector(np.zeros((0, 8)), 3).amplitudes.shape == (0, 8)
 
 
 def test_sample_refuses_a_batch(triangle_model):

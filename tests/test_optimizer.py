@@ -17,8 +17,9 @@ from hamqaoa import (
     qaoa_solve,
     simulate_noisy,
 )
-from hamqaoa import engine, optimizer
-from hamqaoa.errors import TooManyQubits
+from hamqaoa import circuit, engine, optimizer
+from hamqaoa.circuit import LAYER_CAP
+from hamqaoa.errors import EmptyModel, TooManyQubits
 from oracles import closure_minimize
 
 
@@ -287,10 +288,10 @@ SOLVER_SIZE_OBJECTIVES = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("width", [1, 3])
 @pytest.mark.parametrize("name", sorted(SOLVER_SIZE_OBJECTIVES))
-@pytest.mark.parametrize("d", [4, 16], ids=["triangle-p2", "square-p8"])
+@pytest.mark.parametrize("d", [4, 8, 16], ids=["triangle-p2", "pentagon-p4", "square-p8"])
 def test_solver_sizes_match_closure_oracle(d, name, width, seed):
-    # the solver's own dimensions: 2p angles, so 17 simplex vertices for
-    # np.argsort to order at p = 8; starts drawn as qaoa_solve draws them
+    # the solver's own dimensions: 2p angles, so 5, 9 and 17 simplex
+    # vertices for np.argsort to order; starts drawn as qaoa_solve draws them
     f = SOLVER_SIZE_OBJECTIVES[name]
     x0 = optimizer.TWO_PI * np.random.default_rng((seed, 0)).random(d)
     cfg = OptimizerConfig(max_evals=900, restarts=3, seed=seed)
@@ -475,6 +476,58 @@ def test_zero_layer_solve_applies_noise(triangle_model):
     expected = simulate_noisy(row, nm, 2000, cfg.seed)
     assert noisy.final_distribution.counts == expected.counts
     assert noisy.final_distribution.counts != clean.final_distribution.counts
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("the ansatz was built")
+
+
+@pytest.mark.parametrize("mixer", ["RX", "ry"])
+def test_noiseless_solves_build_no_ansatz(
+    mixer, triangle_model, square_fixture_model, monkeypatch
+):
+    # the exact and sampled objectives run qaoa_state, which needs no gates
+    def reports():
+        return [
+            qaoa_solve(triangle_model, 2, mixer, cfg=OptimizerConfig(max_evals=40)).to_json(),
+            qaoa_solve(square_fixture_model, 1, mixer, cfg=OptimizerConfig(max_evals=20))
+            .to_json(),
+            qaoa_solve(
+                triangle_model, 1, mixer, nm=NoiseModel(), shots=100, sampled_objective=True,
+                cfg=OptimizerConfig(max_evals=20),
+            ).to_json(),
+            qaoa_solve(triangle_model, 0, mixer).to_json(),
+        ]
+
+    expected = reports()
+    monkeypatch.setattr(circuit, "build_ansatz", refuse_to_build)
+    monkeypatch.setattr(optimizer, "build_ansatz", refuse_to_build)
+    assert reports() == expected
+    with pytest.raises(AssertionError, match="the ansatz was built"):
+        qaoa_solve(triangle_model, 1, mixer, nm=NoiseModel(0.01), cfg=OptimizerConfig(max_evals=5))
+
+
+@pytest.mark.parametrize(
+    "p, mixer, error, message",
+    [
+        (1, "RZ", ValueError, "mixer must be RX or RY"),
+        (True, "RX", ValueError, "layer count must be an integer"),
+        (1.5, "RX", ValueError, "layer count must be an integer"),
+        (-1, "RX", ValueError, "layer count must be in"),
+        (LAYER_CAP + 1, "RX", ValueError, "layer count must be in"),
+        (1, "RX", EmptyModel, "at least one qubit"),
+    ],
+    ids=["mixer", "bool", "fraction", "negative", "past-cap", "empty"],
+)
+def test_solves_refuse_what_no_ansatz_holds_without_building_one(
+    p, mixer, error, message, triangle_model, monkeypatch
+):
+    # every refusal of build_ansatz comes first, noiseless or noisy
+    monkeypatch.setattr(optimizer, "build_ansatz", refuse_to_build)
+    model = IsingModel(0, Fraction(0), {}, {}) if error is EmptyModel else triangle_model
+    for nm in (None, NoiseModel(0.01)):
+        with pytest.raises(error, match=message):
+            qaoa_solve(model, p, mixer, nm=nm, cfg=OptimizerConfig(max_evals=5))
 
 
 def test_solve_rejects_unknown_mixer(triangle_model):
