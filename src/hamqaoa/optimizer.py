@@ -6,9 +6,11 @@ ask/tell generator; ``minimize`` drives it through random restarts drawn
 from [0, 2pi).  Restarts share a global evaluation budget, split before
 the first evaluation; the best restart wins, ties broken by lowest
 restart index.  Restarts may run in lockstep, one batch of points per
-call of the objective; ``qaoa_solve`` does so for the exact noiseless
-objective on registers where a batch of states is faster than one state
-at a time, and the result is the same as running them one by one.
+call of the objective, and a batch's spare rows carry the points each
+restart may ask for next, evaluated before it asks.  ``qaoa_solve`` does
+so for the exact noiseless objective on registers where a batch of states
+is faster than one state at a time, and the result is the same as running
+the restarts one by one, a point at a time.
 """
 from __future__ import annotations
 
@@ -66,9 +68,13 @@ class OptimizationResult:
     converged: bool
 
 
-def _nelder_mead(x0):
-    """One simplex run from x0: yields each point to evaluate, takes its
-    value through ``send`` and returns once the simplex has converged."""
+def _nelder_mead(x0, lookahead: bool = True):
+    """One simplex run from x0: yields each point to evaluate with the
+    points it may ask for next, takes the point's value through ``send``
+    and returns once the simplex has converged.  A point it asks for next
+    is the very object it offered.  Without ``lookahead`` a step offers
+    neither its expansion nor its contraction, and computes only the one
+    it asks for."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     d = len(x0)
     step = np.where(np.abs(x0) > 1e-12, 0.1 * np.abs(x0) + 0.25, 0.25)
@@ -78,8 +84,8 @@ def _nelder_mead(x0):
         x[i] += step[i]
         simplex.append(x)
     values = []
-    for x in simplex:
-        values.append((yield x))
+    for i, x in enumerate(simplex):
+        values.append((yield x, simplex[i + 1 :]))
 
     while True:
         # np.argsort's kernel and tie order, without its dispatch on a
@@ -95,48 +101,86 @@ def _nelder_mead(x0):
         # np.mean's sum and division, without its checks
         centroid = np.add.reduce(np.array(simplex[:-1]), axis=0) / d
         reflected = centroid + alpha * (centroid - simplex[-1])
-        fr = yield reflected
+        ahead = ()
+        if lookahead:
+            # neither depends on fr; the contraction is the likelier ask
+            expanded = centroid + gamma * (reflected - centroid)
+            contracted = centroid + rho * (simplex[-1] - centroid)
+            ahead = (contracted, expanded)
+        fr = yield reflected, ahead
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
         elif fr < values[0]:
-            expanded = centroid + gamma * (reflected - centroid)
-            fe = yield expanded
+            if not lookahead:
+                expanded = centroid + gamma * (reflected - centroid)
+            fe = yield expanded, ()
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
         else:
-            contracted = centroid + rho * (simplex[-1] - centroid)
-            fc = yield contracted
+            if not lookahead:
+                contracted = centroid + rho * (simplex[-1] - centroid)
+            fc = yield contracted, ()
             if fc < values[-1]:
                 simplex[-1], values[-1] = contracted, fc
             else:
+                shrunk = [simplex[0] + sigma * (x - simplex[0]) for x in simplex[1:]]
                 for i in range(1, d + 1):
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    values[i] = yield simplex[i]
+                    simplex[i] = shrunk[i - 1]
+                    values[i] = yield simplex[i], shrunk[i:]
 
 
 class _Restart:
-    """One simplex run of ``minimize``: its next point, budget and values."""
+    """One simplex run of ``minimize``: its next point, the points it may
+    ask for after that, its budget and its values."""
 
-    def __init__(self, start, budget: int):
-        self.search = _nelder_mead(start)
-        self.x = next(self.search)
+    def __init__(self, start, budget: int, lookahead: bool = True):
+        self.search = _nelder_mead(start, lookahead)
+        self.x, self.ahead = next(self.search)
         self.budget = budget
         self.values: list[float] = []
         self.best_x, self.best_f = None, np.inf
         self.converged = self.done = False
 
-    def tell(self, v: float) -> None:
-        self.values.append(v)
-        if v < self.best_f:
-            self.best_x, self.best_f = np.array(self.x), v
-        try:
-            self.x = self.search.send(v)
-        except StopIteration:
-            self.converged = self.done = True
-            return
-        self.done = len(self.values) == self.budget
+    def tell(self, v: float, ahead_values=()) -> None:
+        """Take x's value.  ``ahead_values`` are the values of the first
+        points of ``ahead``: while the search asks for one of them next, it
+        takes that value too; the rest are dropped."""
+        offered = self.ahead
+        while True:
+            self.values.append(v)
+            if v < self.best_f:
+                self.best_x, self.best_f = np.array(self.x), v
+            try:
+                self.x, self.ahead = self.search.send(v)
+            except StopIteration:
+                self.converged = self.done = True
+                return
+            self.done = len(self.values) == self.budget
+            if self.done or not ahead_values:
+                return
+            # the next point's value, if it was evaluated with x
+            for x, v in zip(offered, ahead_values):
+                if x is self.x:
+                    break
+            else:
+                return
+
+
+def _share(running: list, room: int) -> None:
+    """Cut the candidates of the running restarts to ``room`` in all: the
+    first of every restart, in restart order, then the second, and so on."""
+    keep = [0] * len(running)
+    level = 0
+    while room:
+        for i, run in enumerate(running):
+            if room and len(run.ahead) > level:
+                keep[i] += 1
+                room -= 1
+        level += 1
+    for run, k in zip(running, keep):
+        run.ahead = run.ahead[:k]
 
 
 def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
@@ -148,11 +192,18 @@ def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
 
     Each restart may spend ``max(d + 2, max_evals // restarts)``
     evaluations, cut to what the earlier restarts leave of the budget; a
-    restart left nothing never starts.  Up to ``width`` restarts run in
-    lockstep, joining in restart order as slots free up: f takes their
-    next points as one (n, d) array and returns n values.  For an f
-    without side effects the result does not depend on ``width``; at
-    width 1, f takes one point at a time, in restart order.
+    restart left nothing never starts.  ``width`` is the most rows one
+    call of f takes.  Up to ``width`` restarts run in lockstep, joining in
+    restart order as slots free up: f takes their due points as the first
+    rows of one (n, d) array and returns n values.  The rows left carry
+    candidates, points a restart may ask for next: the rest of its initial
+    simplex or of a shrink and, where ``width`` holds three rows for every
+    restart, a step's contraction and expansion beside its reflection.
+    They fill those rows a level of every restart at a time, never more
+    than a restart's budget could use.  A restart takes a candidate's value
+    only when it asks for that point, so for an f without side effects,
+    which f must be when ``width`` > 1, the result does not depend on
+    ``width``; at width 1, f takes one point at a time, in restart order.
     """
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
@@ -168,6 +219,9 @@ def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
     # a cut one spends its whole share.  Restarts left nothing never start.
     restarts = min(cfg.restarts, -(-cfg.max_evals // per_restart))
     budgets = [min(per_restart, cfg.max_evals - r * per_restart) for r in range(restarts)]
+    # a step's expansion and contraction cost time to compute and rows to
+    # evaluate: offered only where every restart's three points fit one call
+    lookahead = width >= 3 * len(budgets)
     runs: list[_Restart] = []
     running: list[_Restart] = []
     while True:
@@ -176,20 +230,39 @@ def minimize(f, x0, cfg: OptimizerConfig, width: int = 1) -> OptimizationResult:
             start = x0
             if r > 0:
                 start = TWO_PI * np.random.default_rng((cfg.seed, r)).random(d)
-            runs.append(_Restart(start, budgets[r]))
+            runs.append(_Restart(start, budgets[r], lookahead))
             running.append(runs[-1])
         if not running:
             break
+        # the due points first, then the candidates in the rows left, as
+        # many of each restart's as its budget could use after its due point
+        n = len(running)
+        points = [run.x for run in running]
+        if width > n:
+            for run in running:
+                run.ahead = run.ahead[: run.budget - len(run.values) - 1]
+            points += [x for run in running for x in run.ahead]
+            if len(points) > width:
+                _share(running, width - n)
+                points[n:] = [x for run in running for x in run.ahead]
         if width == 1:
-            values = [f(running[0].x)]
+            values = [float(f(points[0]))]
         else:
-            values = np.asarray(f(np.array([run.x for run in running])), dtype=float)
-            if values.shape != (len(running),):
+            values = np.asarray(f(np.array(points)), dtype=float)
+            if values.shape != (len(points),):
                 raise ValueError(
-                    f"objective gave {values.shape} values for {len(running)} points"
+                    f"objective gave {values.shape} values for {len(points)} points"
                 )
-        for run, v in zip(running, values):
-            run.tell(float(v))
+            values = values.tolist()
+        if len(points) == n:
+            for run, v in zip(running, values):
+                run.tell(v)
+        else:
+            lo = n
+            for run, v in zip(running, values):
+                hi = lo + len(run.ahead)
+                run.tell(v, values[lo:hi])
+                lo = hi
         running = [run for run in running if not run.done]
 
     values = [v for run in runs for v in run.values]
@@ -290,9 +363,10 @@ def qaoa_solve(
             return measure(params, (cfg.seed, next(eval_index))).mean_energy(h)
         return qaoa_expectation(h, params[..., :p], params[..., p:], mixer)
 
-    # The exact objective is pure, so restarts may share its calls, one row
-    # of angles each, as many as fit one lockstep batch; the sampled ones
-    # seed each call by its index, so they keep one call per point.
+    # The exact objective is pure, so restarts may share its calls, their
+    # due points and the points they may ask for next, one row of angles
+    # each, as many as fit one lockstep batch; the sampled ones seed each
+    # call by its index, so they keep one call per point.
     width = 1
     if not (noisy or sampled_objective):
         width = lockstep_rows(h.num_qubits)

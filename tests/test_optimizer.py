@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -164,39 +165,58 @@ def test_driver_matches_closure_oracle(f, x0, max_evals, restarts):
 
 
 def rows_of(f):
-    """f over a batch of points, one call per row; counts the batches."""
+    """f over a batch of points, one call per row; counts the batches and
+    keeps every row with its value."""
 
     def batched(points):
         batched.calls.append(len(points))
-        return [f(x) for x in points]
+        values = [f(x) for x in points]
+        batched.rows += [(x.tobytes(), repr(float(v))) for x, v in zip(points, values)]
+        return values
 
-    batched.calls = []
+    batched.calls, batched.rows = [], []
     return batched
 
 
+# each case with its exact calls at width 3, as (rows, repeats) runs: the
+# due point of every running restart, then candidates in the rows left.
+# Width 3 holds no step's expansion and contraction beside its reflection
+# for 2 or more restarts, so only the rest of an initial simplex or of a
+# shrink fills those rows
 LOCKSTEP_CASES = [
-    ("floor-cut", bowl, np.full(4, 5.0), 13, 3),
-    ("floor-skip", bowl, np.full(4, 5.0), 7, 4),
-    ("not-divisible", rosenbrock, np.array([2.0, -1.0]), 800, 3),
-    ("constant", lambda x: 7.5, np.zeros(3), 1000, 2),
-    ("nan", nan_beyond_two, np.full(3, 1.5), 600, 2),
-    ("many-restarts", bowl, np.full(2, 0.5), 400, 7),
+    ("floor-cut", bowl, np.full(4, 5.0), 13, 3, [(3, 4), (1, 1)]),
+    ("floor-skip", bowl, np.full(4, 5.0), 7, 4, [(3, 2), (1, 1)]),
+    ("not-divisible", rosenbrock, np.array([2.0, -1.0]), 800, 3, [(3, 153), (2, 21), (1, 28)]),
+    (
+        "constant", lambda x: 7.5, np.zeros(3), 1000, 2,
+        [(3, 3), (2, 1), (3, 2)] + [(2, 2), (3, 2)] * 17 + [(1, 3), (3, 1), (1, 2), (3, 1)],
+    ),
+    (
+        "nan", nan_beyond_two, np.full(3, 1.5), 600, 2,
+        [(3, 3), (2, 2), (3, 1)] + [(2, 3), (3, 1)] * 41 + [(2, 2), (1, 1), (3, 1)]
+        + [(1, 2), (3, 1)] * 16 + [(1, 1)],
+    ),
+    ("many-restarts", bowl, np.full(2, 0.5), 400, 7, [(3, 115), (1, 54)]),
 ]
 
 
+def runs(calls):
+    return [(rows, len(list(group))) for rows, group in itertools.groupby(calls)]
+
+
 @pytest.mark.parametrize(
-    "f, x0, max_evals, restarts",
+    "f, x0, max_evals, restarts, calls",
     [case[1:] for case in LOCKSTEP_CASES],
     ids=[case[0] for case in LOCKSTEP_CASES],
 )
-def test_lockstep_matches_sequential(f, x0, max_evals, restarts):
+def test_lockstep_matches_sequential(f, x0, max_evals, restarts, calls):
     cfg = OptimizerConfig(max_evals=max_evals, restarts=restarts, seed=4)
     batched = rows_of(f)
     lockstep = minimize(batched, x0, cfg, width=3)
     assert outcome(lockstep) == outcome(minimize(f, x0, cfg, width=1))
     assert outcome(lockstep) == outcome(closure_minimize(f, x0, cfg))
     assert max(batched.calls) <= 3
-    assert sum(batched.calls) == lockstep.evals_used
+    assert runs(batched.calls) == calls
 
 
 def test_lockstep_convergence_on_the_last_evaluation_of_the_budget():
@@ -219,6 +239,42 @@ def test_a_cut_restart_joins_the_lockstep_window_at_once():
     r = minimize(batched, np.zeros(2), cfg, width=3)
     assert batched.calls == [3, 3, 2, 2]
     assert outcome(r) == outcome(closure_minimize(bowl, np.zeros(2), cfg))
+
+
+def test_a_spare_row_takes_a_candidate_the_budget_can_use():
+    # the budgets of the test above at width 4: the first call carries
+    # restart 0's second vertex, the second restart 1's third; restart 2,
+    # whose 2 evaluations go to its due points, gets no candidate
+    batched = rows_of(bowl)
+    cfg = OptimizerConfig(max_evals=10, restarts=3, seed=1)
+    r = minimize(batched, np.zeros(2), cfg, width=4)
+    assert batched.calls == [4, 4, 2]
+    assert outcome(r) == outcome(closure_minimize(bowl, np.zeros(2), cfg))
+
+
+@pytest.mark.parametrize(
+    "width, restarts, calls",
+    [
+        (3, 1, [(3, 10), (1, 1)]),
+        (2, 1, [(2, 1), (1, 18)]),
+        (6, 2, [(6, 7), (5, 1), (2, 1)]),
+        (5, 2, [(5, 1), (2, 12), (1, 1)]),
+    ],
+    ids=["one-restart-in-3", "one-restart-in-2", "two-restarts-in-6", "two-restarts-in-5"],
+)
+def test_steps_offer_their_contraction_and_expansion_where_three_rows_a_restart_fit(
+    width, restarts, calls
+):
+    # each reflection comes with its contraction and expansion, so a step
+    # takes one call; below three rows a restart, only the rest of the
+    # initial simplex or of a shrink fills the rows left
+    x0 = np.array([0.3, -0.2])
+    # 20 evaluations for one restart, 15 each for two
+    cfg = OptimizerConfig(max_evals=10 + 10 * restarts, restarts=restarts, seed=2)
+    batched = rows_of(bowl)
+    r = minimize(batched, x0, cfg, width=width)
+    assert runs(batched.calls) == calls
+    assert outcome(r) == outcome(minimize(bowl, x0, cfg))
 
 
 def valley(x):
@@ -277,6 +333,108 @@ def test_no_restart_converges_within_d_plus_2_evaluations(d, name, scale, seed):
     assert not run.converged
 
 
+PLATEAU_OBJECTIVES = RANDOM_OBJECTIVES | {
+    # whole plateaus of tied values, so vertex order rests on the sort
+    "floor-sum": lambda x: float(np.floor(np.sum(x))),
+    "floor-bowl": lambda x: float(np.floor(4.0 * np.sum((x - 1.0) ** 2))),
+}
+
+
+def told_points(search):
+    """An ``_nelder_mead`` that records each point told a value, with it."""
+    told = []
+
+    def recording(*args):
+        inner = search(*args)
+        ask = next(inner)
+        while True:
+            v = yield ask
+            told.append((ask[0].tobytes(), repr(v)))
+            try:
+                ask = inner.send(v)
+            except StopIteration:
+                return
+
+    return recording, told
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    max_evals=st.integers(1, 120),
+    restarts=st.integers(1, 5),
+    width=st.integers(3, 16),
+    name=st.sampled_from(sorted(PLATEAU_OBJECTIVES)),
+    scale=st.sampled_from(X0_SCALES),
+    seed=st.integers(0, 2**16),
+)
+def test_spare_rows_match_width_one_and_closure_oracle(
+    d, max_evals, restarts, width, name, scale, seed
+):
+    f = PLATEAU_OBJECTIVES[name]
+    x0 = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+    cfg = OptimizerConfig(max_evals=max_evals, restarts=restarts, seed=seed)
+    expected = closure_minimize(f, x0, cfg)
+    batched = rows_of(f)
+    recording, told = told_points(optimizer._nelder_mead)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_nelder_mead", recording)
+        try:
+            r = minimize(batched, x0, cfg, width=width)
+        except ValueError as exc:
+            assert "no finite value" in str(exc) and expected.best_value == np.inf
+            return
+    assert outcome(r) == outcome(expected)
+    assert outcome(r) == outcome(minimize(f, x0, cfg, width=1))
+    assert max(batched.calls) <= width
+    # each told value is the value f gave that row; spare rows may go untold
+    assert len(told) == r.evals_used
+    assert set(told) <= set(batched.rows)
+
+
+def test_budget_cuts_inside_a_step_drop_the_unasked_candidates():
+    # every cut of one restart's budget, many of them between a reflection
+    # and the expansion or contraction already evaluated beside it
+    x0 = np.array([0.3, -0.2])
+    dropped = 0
+    for max_evals in range(1, 80):
+        cfg = OptimizerConfig(max_evals=max_evals, restarts=1)
+        batched = rows_of(bowl)
+        r = minimize(batched, x0, cfg, width=3)
+        assert outcome(r) == outcome(minimize(bowl, x0, cfg, width=1))
+        assert outcome(r) == outcome(closure_minimize(bowl, x0, cfg))
+        assert max(batched.calls) <= 3
+        dropped += sum(batched.calls) > r.evals_used
+    assert dropped > 20
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"shots": 200, "sampled_objective": True},
+        {"shots": 200, "nm": NoiseModel(0.001, 0.01, 0.01)},
+    ],
+    ids=["sampled", "noisy"],
+)
+def test_seeded_objectives_see_one_point_per_call(kwargs, triangle_model, monkeypatch):
+    # each call draws its shots from the call's index, so a spare row would
+    # move every later seed
+    shapes = []
+    real = optimizer.minimize
+
+    def recording(f, x0, cfg, width=1):
+        def one_point(x):
+            shapes.append(np.shape(x))
+            return f(x)
+
+        return real(one_point, x0, cfg, width=width)
+
+    monkeypatch.setattr(optimizer, "minimize", recording)
+    cfg = OptimizerConfig(seed=3, max_evals=40, restarts=3)
+    rep = qaoa_solve(triangle_model, 2, "RX", cfg=cfg, **kwargs)
+    assert shapes == [(4,)] * rep.optimization.evals_used
+
+
 SOLVER_SIZE_OBJECTIVES = {
     "bowl": bowl,
     # ties: whole plateaus of equal values, so vertex order rests on the sort
@@ -286,7 +444,7 @@ SOLVER_SIZE_OBJECTIVES = {
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("width", [1, 3, 9, 96])
 @pytest.mark.parametrize("name", sorted(SOLVER_SIZE_OBJECTIVES))
 @pytest.mark.parametrize("d", [4, 8, 16], ids=["triangle-p2", "pentagon-p4", "square-p8"])
 def test_solver_sizes_match_closure_oracle(d, name, width, seed):
@@ -306,6 +464,9 @@ def test_lockstep_width_and_objective_shape_are_checked():
     # an objective that sums the whole batch gives one value for two points
     with pytest.raises(ValueError, match="values for 2 points"):
         minimize(bowl, np.zeros(2), cfg, width=2)
+    # the count takes in the spare rows: two due vertices and two more
+    with pytest.raises(ValueError, match="values for 4 points"):
+        minimize(bowl, np.zeros(2), cfg, width=4)
 
 
 def test_nan_case_reaches_nan_and_finite_points():
@@ -338,8 +499,11 @@ def test_solves_unchanged_through_closure_oracle(
     def reports():
         noise = NoiseModel(0.001, 0.01, 0.01)
         return [
-            qaoa_solve(triangle_model, 2, "RX").to_json(),
-            qaoa_solve(triangle_model, 2, "RY").to_json(),
+            qaoa_solve(triangle_model, p, mixer, cfg=OptimizerConfig(restarts=restarts)).to_json()
+            for p in (1, 2, 3)
+            for mixer in ("RX", "RY")
+            for restarts in (1, 3, 5)
+        ] + [
             qaoa_solve(
                 triangle_model, 2, "RX", shots=200, sampled_objective=True,
                 cfg=OptimizerConfig(seed=8, max_evals=150, restarts=3),
@@ -356,8 +520,9 @@ def test_solves_unchanged_through_closure_oracle(
     driven = reports()
     calls = []
 
-    # the oracle runs restarts one by one, so the exact objective's
-    # lockstep solves must match sequential ones
+    # the oracle runs restarts one by one and asks one point at a time, so
+    # the exact objective's lockstep solves, spare rows and all, must match
+    # sequential ones
     def oracle(f, x0, cfg, width=1):
         calls.append(cfg)
         return closure_minimize(f, x0, cfg)
